@@ -1,10 +1,17 @@
 """Exact arithmetic on rationals and single-radicand quadratic irrationals.
 
 A value denotes the real (a + b*sqrt(d)) / c with arbitrary-precision
-integers, normalized so that c >= 1, gcd(a, b, c) = 1, and d = 0 whenever
-the value is rational.  Two irrational values combine only when they share
-the same radicand; mixing distinct non-square radicands raises
-IncompatibleRadicands rather than approximating.  Every comparison, sign
+integers, normalized so that c >= 1, gcd(a, b, c) = 1, d = 0 whenever the
+value is rational, and d is not a perfect square otherwise.  The radicand is
+kept as written, square factors included: sqrt(8) stays sqrt(8).
+
+One radicand rule decides how irrationals meet: radicands d1 and d2 are
+compatible iff d1*d2 is a perfect square s*s, and then
+sqrt(d2) = s*sqrt(d1)/d1, so arithmetic and comparison rescale the operand
+with the larger radicand onto the smaller one.  Incompatible irrationals are
+never equal; combining or ordering them raises IncompatibleRadicands rather
+than approximating.  Equal values hash equal whatever their representation,
+and rationals hash like the equal int or Fraction.  Every comparison, sign
 and floor is decided by integer arithmetic alone; no floating point is
 consulted anywhere.
 """
@@ -21,12 +28,6 @@ from .errors import IncompatibleRadicands, ParseError, ZeroDenominator
 
 Coercible = Union[int, Fraction, "ExactNumber"]
 
-# Trial-division bound for pulling square factors out of the radicand.
-# Extraction is opportunistic: correctness never depends on d being
-# squarefree, only on it being non-square, which is checked exactly.
-_SQUARE_TRIAL_BOUND = 10_000
-
-
 def checked_isqrt(v: int) -> int:
     """floor(sqrt(v)) for v >= 0, with the defining postcondition re-verified."""
     if v < 0:
@@ -37,18 +38,6 @@ def checked_isqrt(v: int) -> int:
     return s
 
 
-def _pull_square_factors(d: int) -> tuple[int, int]:
-    """Return (m, d') with d == m*m*d', extracting small square divisors."""
-    m = 1
-    p = 2
-    while p * p <= d and p <= _SQUARE_TRIAL_BOUND:
-        while d % (p * p) == 0:
-            d //= p * p
-            m *= p
-        p += 1 if p == 2 else 2
-    return m, d
-
-
 def _sign(n: int) -> int:
     return (n > 0) - (n < 0)
 
@@ -56,8 +45,8 @@ def _sign(n: int) -> int:
 _INT_RE = re.compile(r"([+-]?\d+)")
 _RAT_RE = re.compile(r"([+-]?\d+)/([+-]?\d+)")
 _RAD_RE = re.compile(r"([+-]?)(?:(\d+)\*)?sqrt\((\d+)\)(?:/([+-]?\d+))?")
-_FULL_RE = re.compile(r"\(([+-]?\d+)([+-])(?:(\d+)\*)?sqrt\((\d+)\)\)(?:/([+-]?\d+))?")
-_BARE_FULL_RE = re.compile(r"([+-]?\d+)([+-])(?:(\d+)\*)?sqrt\((\d+)\)")
+# "(a±b*sqrt(d))/c" with an optional denominator, or "a±b*sqrt(d)" bare.
+_FULL_RE = re.compile(r"(\()?([+-]?\d+)([+-])(?:(\d+)\*)?sqrt\((\d+)\)(?(1)\)(?:/([+-]?\d+))?)")
 
 
 @total_ordering
@@ -84,9 +73,6 @@ class ExactNumber:
             r = checked_isqrt(d)
             if r * r == d:
                 a, b, d = a + b * r, 0, 0
-            else:
-                m, d = _pull_square_factors(d)
-                b *= m
         g = math.gcd(math.gcd(abs(a), abs(b)), c)
         if g > 1:
             a, b, c = a // g, b // g, c // g
@@ -191,10 +177,11 @@ class ExactNumber:
         o = self._coerce(other)  # type: ignore[arg-type]
         if o is None:
             return NotImplemented
-        if self._b != 0 and o._b != 0 and self._d != o._d:
-            # Distinct non-square radicands never denote the same real.
+        try:
+            return self.compare(o) == 0
+        except IncompatibleRadicands:
+            # sqrt(d1*d2) is irrational, so the two reals cannot be equal.
             return False
-        return self.compare(o) == 0
 
     def __lt__(self, other: Coercible) -> bool:
         o = self._coerce(other)
@@ -203,28 +190,34 @@ class ExactNumber:
         return self.compare(o) < 0
 
     def __hash__(self) -> int:
-        return hash((self._a, self._b, self._c, self._d))
+        # The rational part a/c, and the sign and square b*b*d/(c*c) of the
+        # irrational part, do not depend on how the value is written.
+        a, b, c, d = self._a, self._b, self._c, self._d
+        if b == 0:
+            return hash(Fraction(a, c))
+        return hash((Fraction(a, c), _sign(b), Fraction(b * b * d, c * c)))
 
     # -- arithmetic -----------------------------------------------------
 
-    def _merged_radicand(self, other: ExactNumber) -> int:
-        if self._b != 0 and other._b != 0 and self._d != other._d:
-            raise IncompatibleRadicands(
-                f"cannot combine sqrt({self._d}) with sqrt({other._d})"
-            )
-        return self._d if self._b != 0 else other._d
+    def _merged_radicand(self, other: ExactNumber) -> tuple[ExactNumber, ExactNumber, int]:
+        """(x, y, d): self and other, both written over the one radicand d."""
+        d1, d2 = self._d, other._d
+        if self._b == 0 or other._b == 0 or d1 == d2:
+            return self, other, d1 or d2
+        s = checked_isqrt(d1 * d2)
+        if s * s != d1 * d2:
+            raise IncompatibleRadicands(f"cannot combine sqrt({d1}) with sqrt({d2})")
+        # sqrt(d2) = s*sqrt(d1)/d1: rescale the larger radicand onto the smaller.
+        if d1 < d2:
+            return self, ExactNumber(other._a * d1, other._b * s, d1, other._c * d1), d1
+        return ExactNumber(self._a * d2, self._b * s, d2, self._c * d2), other, d2
 
     def __add__(self, other: Coercible) -> ExactNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self._merged_radicand(o)
-        return ExactNumber(
-            self._a * o._c + o._a * self._c,
-            self._b * o._c + o._b * self._c,
-            d,
-            self._c * o._c,
-        )
+        x, y, d = self._merged_radicand(o)
+        return ExactNumber(x._a * y._c + y._a * x._c, x._b * y._c + y._b * x._c, d, x._c * y._c)
 
     def __radd__(self, other: Coercible) -> ExactNumber:
         return self.__add__(other)
@@ -245,12 +238,9 @@ class ExactNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self._merged_radicand(o)
+        x, y, d = self._merged_radicand(o)
         return ExactNumber(
-            self._a * o._a + self._b * o._b * d,
-            self._a * o._b + self._b * o._a,
-            d,
-            self._c * o._c,
+            x._a * y._a + x._b * y._b * d, x._a * y._b + x._b * y._a, d, x._c * y._c
         )
 
     def __rmul__(self, other: Coercible) -> ExactNumber:
@@ -291,14 +281,9 @@ class ExactNumber:
             return a // c
         s = checked_isqrt(b * b * d)
         # b*sqrt(d) lies strictly between s and s+1 (resp. -(s+1) and -s):
-        # b != 0 forces d non-square, so b*sqrt(d) is irrational.
-        n = (a + s) // c if b > 0 else (a - s - 1) // c
-        # Exact verification; each loop runs at most once.
-        while self.compare(n) < 0:
-            n -= 1
-        while self.compare(n + 1) >= 0:
-            n += 1
-        return n
+        # b != 0 forces d non-square, so b*sqrt(d) is irrational.  Then
+        # floor(x/c) = floor(floor(x)/c) for the integer c >= 1.
+        return (a + s) // c if b > 0 else (a - s - 1) // c
 
     # -- text form --------------------------------------------------------
 
@@ -338,11 +323,9 @@ class ExactNumber:
             sgn, coef, rad, den = m.groups()
             b = (-1 if sgn == "-" else 1) * (int(coef) if coef else 1)
             return cls(0, b, int(rad), int(den) if den else 1)
-        m = _FULL_RE.fullmatch(s) or _BARE_FULL_RE.fullmatch(s)
+        m = _FULL_RE.fullmatch(s)
         if m:
-            groups = m.groups()
-            a, sgn, coef, rad = groups[0], groups[1], groups[2], groups[3]
-            den = groups[4] if len(groups) > 4 else None
+            _, a, sgn, coef, rad, den = m.groups()
             b = (-1 if sgn == "-" else 1) * (int(coef) if coef else 1)
             return cls(int(a), b, int(rad), int(den) if den else 1)
         raise ParseError(f"cannot parse exact literal: {text!r}")
@@ -356,27 +339,3 @@ class ExactNumber:
 
 ZERO = ExactNumber(0)
 ONE = ExactNumber(1)
-
-
-# Functional surface mirroring the operator forms above.
-
-def add(x: ExactNumber, y: Coercible) -> ExactNumber:
-    return x + y
-
-
-def mul_rational(x: ExactNumber, p: int, r: int) -> ExactNumber:
-    if r == 0:
-        raise ZeroDenominator("rational multiplier with denominator zero")
-    return x * Fraction(p, r)
-
-
-def compare(x: ExactNumber, y: Coercible) -> int:
-    return x.compare(y)
-
-
-def floor(x: ExactNumber) -> int:
-    return x.floor()
-
-
-def is_integer(x: ExactNumber) -> bool:
-    return x.is_integer()

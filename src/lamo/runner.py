@@ -5,13 +5,15 @@ starting at the origin point.  Y passes the origin at integer times, X
 whenever phi(t) is a positive integer, and the pair meet whenever
 phi(t) + t is a positive integer.  The simulator produces these three
 event streams in closed form, merges them in exact time order, and stamps
-each event with the number of meetings so far.  A time shared by more than
-one stream is a meeting exactly at the origin and is recorded as a single
-collision event, which voids any partition claim for the log.
+each event with the number of meetings merged so far, a meeting counting
+itself.  A time shared by more than one stream is a meeting exactly at the
+origin and is recorded as a single collision event, which voids any
+partition claim for the log.
 
-This is deliberately independent of the set formulas in `continuous`: the
-two routes are compared against each other in the tests, not derived from
-one another.
+The counts come from the merge alone and never from the set formulas in
+`continuous` (such as `meeting_count`), so the two routes stay independent:
+they are compared against each other in the tests, not derived from one
+another.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import CollisionPresent, NonPositiveTime, NotPositive
 from .exact import ExactNumber
-from .continuous import MonotoneMap, Timelike, _exact, meeting_count
+from .continuous import MonotoneMap, Timelike, _exact
 from .sequences import IntSet
 
 Y_CROSSING = "y_crosses_origin"
@@ -124,10 +126,7 @@ def simulate(phi: MonotoneMap, T: Timelike) -> EventLog:
             if t.compare(t_min) < 0:
                 t_min = t
         due = [kind for kind, t in heads if t.compare(t_min) == 0]
-        if MEETING in due:
-            count = im + 1
-        else:
-            count = meeting_count(phi, t_min)
+        count = im + 1 if MEETING in due else im
         if len(due) > 1:
             # Coincidence of streams means a meeting at the origin itself.
             events.append(Event(t_min, COLLISION, count))
@@ -159,10 +158,3 @@ def recorded_sets(log: EventLog) -> tuple[IntSet, IntSet]:
         if e.kind in (X_CROSSING, Y_CROSSING) and e.count > horizon:
             horizon = e.count
     return IntSet(tuple(xs), horizon), IntSet(tuple(ys), horizon)
-
-
-def meets_at_origin(phi: MonotoneMap, N: int) -> list[int]:
-    """All integer times t <= N at which both t and phi(t) are integers."""
-    if not isinstance(N, int) or N < 1:
-        raise NotPositive(f"scan bound must be a positive integer, got {N!r}")
-    return [t for t in range(1, N + 1) if phi.eval(t).is_integer()]

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from lamo import INF, NumberSequence, Tail
-from lamo.continuous import PiecewiseMap
+from lamo.continuous import PiecewiseMap, lattice_avoidance
 
 
 def random_sequence(
@@ -58,8 +58,6 @@ def random_rational_map(
     that hits an integer within that range is replaced by the saturating
     one, keeping the map usable as a collision-free simulation subject.
     """
-    from lamo import meets_at_origin
-
     n = rng.randint(1, max_anchors)
     vals = sorted(rng.randint(0, 8) for _ in range(n))
     anchors = [Fraction(v + 1) - Fraction(1, i + 2) for i, v in enumerate(vals)]
@@ -67,6 +65,6 @@ def random_rational_map(
     if rng.random() < 0.5:
         return saturating
     extending = PiecewiseMap(anchors)
-    if integer_free_through and meets_at_origin(extending, integer_free_through):
+    if integer_free_through and not lattice_avoidance(extending, integer_free_through).holds:
         return saturating
     return extending

@@ -1,10 +1,11 @@
 """Independent numeric oracles used to cross-check the exact kernel.
 
-Everything here goes through the stdlib `decimal` module at high precision
-and deliberately shares no code with the package under test.  The decimal
-route is advisory: where it and the exact route disagree, the exact route
-is authoritative, and the tests treat any disagreement as a failure to be
-investigated rather than auto-resolved.
+Everything here deliberately shares no code with the package under test.
+The decimal oracles go through the stdlib `decimal` module at high
+precision; they are advisory: where they and the exact route disagree, the
+exact route is authoritative, and the tests treat any disagreement as a
+failure to be investigated rather than auto-resolved.  `bisect_floor` uses
+integers only and is exact for every input.
 """
 
 from __future__ import annotations
@@ -49,3 +50,31 @@ def wythoff_pair(n: int, digits: int = DIGITS) -> tuple[int, int]:
 def counting_inverse(values: list[float], n: int) -> int:
     """|{m : f(m) < n}| by brute enumeration over an explicit finite list."""
     return sum(1 for v in values if v < n)
+
+
+def _sign_with_root(p: int, q: int, d: int) -> int:
+    """Sign of p + q*sqrt(d) for d >= 0, decided by squaring."""
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sq == 0 or d == 0:
+        return sp
+    if sp == 0 or sp == sq:
+        return sq
+    # Opposite signs: the term with the larger square wins.
+    diff = p * p - q * q * d
+    return sp if diff > 0 else sq if diff < 0 else 0
+
+
+def bisect_floor(a: int, b: int, d: int, c: int) -> int:
+    """floor((a + b*sqrt(d))/c) for c >= 1 and d >= 0, by bisection on n.
+
+    n <= x holds iff (a - c*n) + b*sqrt(d) >= 0, and |x| <= |a| + |b|*d.
+    """
+    lo = -(abs(a) + abs(b) * d) - 1  # lo <= x
+    hi = abs(a) + abs(b) * d + 1  # x < hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _sign_with_root(a - c * mid, b, d) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -33,7 +33,6 @@ from lamo import (
     recorded_sets,
     simulate,
 )
-from lamo.exact import compare
 
 from gen import mutate_pair, random_rational_map, random_sequence
 from oracles import decimal_floor, wythoff_pair
@@ -202,7 +201,7 @@ def test_9_kernel_floor_and_order():
 
         for _ in range(1000):
             d = rng.choice(radicands)
-            triple = sorted((draw(d) for _ in range(3)), key=cmp_to_key(compare))
+            triple = sorted((draw(d) for _ in range(3)), key=cmp_to_key(ExactNumber.compare))
             x, y, z = triple
-            assert compare(x, y) <= 0 and compare(y, z) <= 0 and compare(x, z) <= 0
-            assert compare(x, y) == -compare(y, x)
+            assert x.compare(y) <= 0 and y.compare(z) <= 0 and x.compare(z) <= 0
+            assert x.compare(y) == -y.compare(x)

@@ -128,6 +128,7 @@ class TestMeetingCount:
 class TestLatticeAvoidance:
     def test_rational_violation(self):
         assert lattice_avoidance(LinearMap(Fraction(2, 3)), 10).violation == 3
+        assert lattice_avoidance(LinearMap(1), 3).violation == 1
 
     def test_irrational_holds(self):
         assert lattice_avoidance(LinearMap(SQRT2), 1000).holds

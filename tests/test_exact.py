@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lamo.errors import IncompatibleRadicands, ParseError, ZeroDenominator
-from lamo.exact import ExactNumber, add, checked_isqrt, compare, floor, is_integer, mul_rational
+from lamo.exact import ExactNumber, checked_isqrt
 
-from oracles import decimal_floor
+from oracles import bisect_floor, decimal_floor
 
 GOLDEN = ExactNumber(-1, 1, 5, 2)
 SQRT2 = ExactNumber.sqrt(2)
@@ -20,6 +20,10 @@ coeffs = st.tuples(small_int, small_int, st.integers(min_value=1, max_value=1000
 def quad(a, b, d, c):
     return ExactNumber(a, b, d, c if c != 0 else 1)
 
+
+# Radicands m*m*k up to 10**12 with a square factor m*m.
+square_root = st.integers(min_value=2, max_value=1000)
+small_d = st.integers(min_value=1, max_value=10**6)
 
 quadratics = st.builds(
     quad,
@@ -48,7 +52,8 @@ class TestNormalization:
 
     def test_square_factor_extraction(self):
         x = ExactNumber(0, 1, 8, 1)
-        assert (x.b, x.d) == (2, 2)
+        assert x == ExactNumber(0, 2, 2, 1) and hash(x) == hash(ExactNumber(0, 2, 2, 1))
+        assert x.literal() == "sqrt(8)"
 
     def test_d_zero_clears_b(self):
         assert ExactNumber(3, 5, 0, 1) == ExactNumber(3)
@@ -85,14 +90,14 @@ class TestArithmetic:
             SQRT2 + ExactNumber.sqrt(3)
 
     def test_mul_rational_examples(self):
-        assert mul_rational(GOLDEN, 2, 1) == ExactNumber(-1, 1, 5, 1)
-        assert mul_rational(SQRT2, 0, 1) == ExactNumber(0)
-        x = mul_rational(ExactNumber(1, 1, 5, 2), 10, 1)
+        assert GOLDEN * Fraction(2, 1) == ExactNumber(-1, 1, 5, 1)
+        assert SQRT2 * Fraction(0, 1) == ExactNumber(0)
+        x = ExactNumber(1, 1, 5, 2) * Fraction(10, 1)
         assert (x.a, x.b, x.c, x.d) == (5, 5, 1, 5)
 
     def test_mul_rational_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
-            mul_rational(GOLDEN, 1, 0)
+            GOLDEN * ExactNumber.rational(1, 0)
 
     def test_division_round_trip(self):
         assert (GOLDEN / GOLDEN) == ExactNumber(1)
@@ -106,19 +111,16 @@ class TestArithmetic:
         # x^2 + x - 1 = 0 for x = (-1+sqrt(5))/2
         assert GOLDEN * GOLDEN + GOLDEN - 1 == ExactNumber(0)
 
-    def test_functional_add(self):
-        assert add(ExactNumber(1), 2) == ExactNumber(3)
-
 
 class TestCompare:
     def test_sqrt2_less_than_three_halves(self):
-        assert compare(SQRT2, ExactNumber(3, 0, 0, 2)) < 0
+        assert SQRT2.compare(ExactNumber(3, 0, 0, 2)) < 0
 
     def test_reflexive_equal(self):
-        assert compare(GOLDEN, GOLDEN) == 0
+        assert GOLDEN.compare(GOLDEN) == 0
 
     def test_golden_greater_than_eight_fifths(self):
-        assert compare(ExactNumber(1, 1, 5, 2), ExactNumber(8, 0, 0, 5)) > 0
+        assert ExactNumber(1, 1, 5, 2).compare(ExactNumber(8, 0, 0, 5)) > 0
 
     def test_opposite_sign_branches(self):
         assert ExactNumber(-3, 1, 5, 1).sign() < 0
@@ -151,14 +153,14 @@ class TestCompare:
 
 class TestFloor:
     def test_contract_examples(self):
-        assert floor(ExactNumber(1, 1, 5, 2)) == 1
-        assert floor(ExactNumber(7)) == 7
-        assert floor(ExactNumber(10, 10, 5, 2)) == 16
+        assert ExactNumber(1, 1, 5, 2).floor() == 1
+        assert ExactNumber(7).floor() == 7
+        assert ExactNumber(10, 10, 5, 2).floor() == 16
 
     def test_negative_values(self):
-        assert floor(ExactNumber(-1, 0, 0, 2)) == -1
-        assert floor(-SQRT2) == -2
-        assert floor(ExactNumber(1, -1, 5, 2)) == -1
+        assert ExactNumber(-1, 0, 0, 2).floor() == -1
+        assert (-SQRT2).floor() == -2
+        assert ExactNumber(1, -1, 5, 2).floor() == -1
 
     @given(quadratics)
     def test_floor_postcondition(self, x):
@@ -175,12 +177,21 @@ class TestFloor:
             x = ExactNumber(a, b, d, c)
             assert x.floor() == decimal_floor(a, b, d, c)
 
+    @given(
+        st.integers(-(10**12), 10**12),
+        st.integers(-(10**6), 10**6),
+        st.one_of(st.integers(0, 10**12), st.builds(lambda m, k: m * m * k, square_root, small_d)),
+        st.integers(1, 10**6),
+    )
+    def test_bisection_oracle_agreement(self, a, b, d, c):
+        assert ExactNumber(a, b, d, c).floor() == bisect_floor(a, b, d, c)
+
 
 class TestPredicates:
     def test_is_integer_examples(self):
-        assert is_integer(ExactNumber(6, 0, 0, 3))
-        assert not is_integer(SQRT2)
-        assert not is_integer(ExactNumber(4, 0, 0, 3))
+        assert ExactNumber(6, 0, 0, 3).is_integer()
+        assert not SQRT2.is_integer()
+        assert not ExactNumber(4, 0, 0, 3).is_integer()
 
     def test_checked_isqrt(self):
         assert checked_isqrt(0) == 0
@@ -228,3 +239,27 @@ class TestParse:
 
     def test_hash_consistent_with_eq(self):
         assert hash(ExactNumber(2, 2, 5, 2)) == hash(ExactNumber(1, 1, 5, 1))
+
+
+class TestValueSemantics:
+    def test_square_factor_beyond_old_trial_bound(self):
+        x, y = ExactNumber(0, 1, 2 * 10007**2), ExactNumber(0, 10007, 2)
+        assert x == y and y == x
+        assert x.compare(y) == 0 and y.compare(x) == 0
+        assert (x - y).is_zero and (y - x).is_zero
+        assert hash(x) == hash(y)
+
+    def test_rational_hashes_like_int_and_fraction(self):
+        assert hash(ExactNumber(3)) == hash(3)
+        assert {ExactNumber(3): 1}.get(3) == 1
+        assert hash(ExactNumber(3, 0, 0, 2)) == hash(Fraction(3, 2))
+
+    @given(small_int, small_int, st.sampled_from([2, 3, 5, 7, 10]),
+           st.integers(min_value=2, max_value=10**6), st.integers(min_value=1, max_value=1000))
+    def test_rescaled_radicand_is_same_value(self, a, b, d, m, c):
+        # (a + b*sqrt(m*m*d))/c and (a + b*m*sqrt(d))/c are one real.
+        x, y = ExactNumber(a, b, m * m * d, c), ExactNumber(a, b * m, d, c)
+        assert x == y and hash(x) == hash(y)
+        assert (x - y).is_zero and (y - x).is_zero
+        assert x * x == y * y and x * ExactNumber.sqrt(d) == y * ExactNumber.sqrt(d)
+        assert x.floor() == y.floor()

@@ -11,10 +11,8 @@ from lamo import (
     Tail,
     construct_phi,
     corollary_sets,
-    lattice_avoidance,
     meeting_count,
     meeting_time,
-    meets_at_origin,
     recorded_sets,
     simulate,
 )
@@ -121,20 +119,3 @@ class TestSimulate:
             e.count for e in log.events if e.kind in (X_CROSSING, Y_CROSSING) and e.count >= 1
         )
         assert counts == list(range(1, len(counts) + 1))
-
-
-class TestMeetsAtOrigin:
-    def test_examples(self):
-        assert meets_at_origin(LinearMap(Fraction(2, 3)), 10) == [3, 6, 9]
-        assert meets_at_origin(LinearMap(SQRT2), 100) == []
-        assert meets_at_origin(LinearMap(1), 3) == [1, 2, 3]
-
-    @given(map_seeds, st.integers(1, 25))
-    @settings(max_examples=40)
-    def test_agrees_with_lattice_avoidance(self, seed, N):
-        phi = random_rational_map(random.Random(seed))
-        hits = meets_at_origin(phi, N)
-        av = lattice_avoidance(phi, N)
-        assert (not hits) == av.holds
-        if hits:
-            assert av.violation == hits[0]
