@@ -21,7 +21,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
     EmptyWindow,
@@ -76,6 +76,14 @@ class MonotoneMap:
         """Supremum M of the open image (0, M); None when unbounded."""
         raise NotImplementedError
 
+    def level_times(self, shift: int, until: Timelike) -> Iterator[tuple[int, ExactNumber]]:
+        """(k, t_k) for k = 1, 2, .. with phi(t_k) + shift*t_k = k and t_k <= until.
+
+        Shift 0 gives the origin crossings of phi, ending where a bounded
+        open image ends; shift 1 gives the meetings of phi(t) and t.
+        """
+        raise NotImplementedError
+
     def image_contains(self, y: Timelike) -> bool:
         e = _exact(y)
         if e.sign() <= 0:
@@ -106,6 +114,13 @@ class LinearMap(MonotoneMap):
         if e.sign() <= 0:
             raise OutsideImage(f"{e} is outside the image (0, oo)")
         return e / self.slope
+
+    def level_times(self, shift: int, until: Timelike) -> Iterator[tuple[int, ExactNumber]]:
+        rate = self.slope + shift
+        step = rate.reciprocal()
+        # k/rate <= until iff k <= floor(rate*until), so one floor bounds the stream.
+        for k in range(1, (rate * _exact(until)).floor() + 1):
+            yield k, step * k
 
     def image_sup(self) -> Optional[ExactNumber]:
         return None
@@ -207,6 +222,22 @@ class PiecewiseMap(MonotoneMap):
         t = (j - 1) + (w - lo) / (hi - lo)
         return ExactNumber.from_fraction(t)
 
+    def level_times(self, shift: int, until: Timelike) -> Iterator[tuple[int, ExactNumber]]:
+        # On the piece [j-1, j], phi(t) + shift*t runs linearly from lo to hi
+        # and passes each integer k in (lo, hi] once.
+        end = _exact(until)
+        last = end.floor() + 1  # the piece holding `until`
+        lo = Fraction(0)
+        for j in range(1, last + 1):
+            first = math.floor(lo) + 1
+            if shift == 0 and self.limit is not None and first >= self.limit:
+                return
+            hi = self.anchor(j) + shift * j
+            top = math.floor(hi) if j < last else (lo + (end - (j - 1)) * (hi - lo)).floor()
+            for k in range(first, top + 1):
+                yield k, ExactNumber.from_fraction((j - 1) + (k - lo) / (hi - lo))
+            lo = hi
+
     def image_sup(self) -> Optional[ExactNumber]:
         if self.limit is None:
             return None
@@ -253,9 +284,11 @@ def lattice_avoidance(phi: MonotoneMap, N: int) -> Avoidance:
 def corollary_sets(phi: MonotoneMap, K: int) -> tuple[IntSet, IntSet]:
     """Window [1, K] of S_Y = {floor(phi(n)+n)} and S_X = {floor(n+phi^-1(n))}.
 
-    S_X ranges over integers n inside the open image of phi.  Both
-    generators are strictly increasing, so enumeration stops at the first
-    value beyond K and the horizons are exactly K.
+    S_X ranges over integers n inside the open image of phi, whose
+    preimages are the crossing times `level_times(0, K)`: n + phi^-1(n) <= K
+    needs phi^-1(n) < K.  Both generators are strictly increasing, so
+    enumeration stops at the first value beyond K and the horizons are
+    exactly K.
     """
     if not isinstance(K, int) or K < 1:
         raise NotPositive(f"window bound must be a positive integer, got {K!r}")
@@ -269,15 +302,11 @@ def corollary_sets(phi: MonotoneMap, K: int) -> tuple[IntSet, IntSet]:
             s_y.append(v)
         n += 1
     s_x: list[int] = []
-    n = 1
-    while phi.image_contains(n):
-        t = phi.inverse_eval(n)
+    for n, t in phi.level_times(0, K):
         v = (t + n).floor()
         if v > K:
             break
-        if v >= 1:
-            s_x.append(v)
-        n += 1
+        s_x.append(v)
     return IntSet(tuple(s_y), K), IntSet(tuple(s_x), K)
 
 

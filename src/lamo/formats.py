@@ -255,9 +255,9 @@ def map_from_json(obj: Any) -> MonotoneMap:
         if not isinstance(tail_raw, dict) or "kind" not in tail_raw:
             raise ParseError("map 'tail' must be an object with a 'kind'")
         tkind = tail_raw["kind"]
-        if tkind in ("extend", "extend_last_slope"):
+        if tkind == "extend":
             return PiecewiseMap(values)
-        if tkind in ("saturate", "saturate_toward"):
+        if tkind == "saturate":
             limit = _rational_literal(tail_raw.get("limit"), "saturation limit")
             return PiecewiseMap(values, saturation_limit=limit)
         raise ParseError(f"unknown map tail kind {tkind!r}")

@@ -3,12 +3,15 @@
 Runner Y moves as t, runner X as phi(t), in opposite directions, both
 starting at the origin point.  Y passes the origin at integer times, X
 whenever phi(t) is a positive integer, and the pair meet whenever
-phi(t) + t is a positive integer.  The simulator produces these three
-event streams in closed form, merges them in exact time order, and stamps
-each event with the number of meetings merged so far, a meeting counting
-itself.  A time shared by more than one stream is a meeting exactly at the
-origin and is recorded as a single collision event, which voids any
-partition claim for the log.
+phi(t) + t is a positive integer.  The Y stream is the integers up to the
+horizon; the X and meeting streams are the level times of phi(t) + shift*t
+for shift 0 and 1, which `MonotoneMap.level_times` yields in closed form
+(k/(lambda+shift) for a linear map, one solve per linear piece for a
+piecewise map).  `heapq.merge` puts the three streams in exact time order,
+`itertools.groupby` gathers equal times, and each event is stamped with the
+number of meetings merged so far, a meeting counting itself.  A time shared
+by more than one stream is a meeting exactly at the origin and is recorded
+as a single collision event, which voids any partition claim for the log.
 
 The counts come from the merge alone and never from the set formulas in
 `continuous` (such as `meeting_count`), so the two routes stay independent:
@@ -18,9 +21,12 @@ another.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
-from .errors import CollisionPresent, NonPositiveTime, NotPositive
+from .errors import CollisionPresent, NonPositiveTime
 from .exact import ExactNumber
 from .continuous import MonotoneMap, Timelike, _exact
 from .sequences import IntSet
@@ -53,91 +59,24 @@ class EventLog:
         return len(self.events)
 
 
-def meeting_time(phi: MonotoneMap, k: int) -> ExactNumber:
-    """The unique t with phi(t) + t = k.
-
-    phi(t) + t is continuous, strictly increasing and unbounded, so the
-    solution exists for every k >= 1.  The bracketing integer interval is
-    found by doubling and bisection on exact values, then the linear piece
-    inside it is solved in closed form.
-    """
-    if not isinstance(k, int) or k < 1:
-        raise NotPositive(f"meeting index must be a positive integer, got {k!r}")
-
-    def total(j: int) -> ExactNumber:
-        if j == 0:
-            return ExactNumber(0)
-        return phi.eval(j) + j
-
-    hi = 1
-    while total(hi).compare(k) < 0:
-        hi *= 2
-    lo = hi // 2  # total(lo) < k <= total(hi), with total(0) = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if total(mid).compare(k) < 0:
-            lo = mid
-        else:
-            hi = mid
-    y_lo = phi.eval(lo) if lo > 0 else ExactNumber(0)
-    slope = phi.eval(hi) - y_lo
-    # On [lo, hi]: phi(t) + t = y_lo + lo + (t - lo)(slope + 1).
-    return lo + (k - (y_lo + lo)) / (slope + 1)
-
-
 def simulate(phi: MonotoneMap, T: Timelike) -> EventLog:
     """Exact event log of both crossings and all meetings up to time T."""
     horizon = _exact(T)
     if horizon.sign() <= 0:
         raise NonPositiveTime(f"simulation horizon must be positive, got {horizon}")
-
-    y_times: list[ExactNumber] = [ExactNumber(t) for t in range(1, horizon.floor() + 1)]
-
-    x_times: list[ExactNumber] = []
-    j = 1
-    while phi.image_contains(j):
-        t = phi.inverse_eval(j)
-        if t.compare(horizon) > 0:
-            break
-        x_times.append(t)
-        j += 1
-
-    meet_times: list[ExactNumber] = []
-    k = 1
-    while True:
-        t = meeting_time(phi, k)
-        if t.compare(horizon) > 0:
-            break
-        meet_times.append(t)
-        k += 1
-
+    streams = (
+        ((ExactNumber(k), Y_CROSSING) for k in range(1, horizon.floor() + 1)),
+        ((t, X_CROSSING) for _, t in phi.level_times(0, horizon)),
+        ((t, MEETING) for _, t in phi.level_times(1, horizon)),
+    )
     events: list[Event] = []
-    iy = ix = im = 0
-    while iy < len(y_times) or ix < len(x_times) or im < len(meet_times):
-        heads: list[tuple[str, ExactNumber]] = []
-        if iy < len(y_times):
-            heads.append((Y_CROSSING, y_times[iy]))
-        if ix < len(x_times):
-            heads.append((X_CROSSING, x_times[ix]))
-        if im < len(meet_times):
-            heads.append((MEETING, meet_times[im]))
-        t_min = heads[0][1]
-        for _, t in heads[1:]:
-            if t.compare(t_min) < 0:
-                t_min = t
-        due = [kind for kind, t in heads if t.compare(t_min) == 0]
-        count = im + 1 if MEETING in due else im
-        if len(due) > 1:
-            # Coincidence of streams means a meeting at the origin itself.
-            events.append(Event(t_min, COLLISION, count))
-        else:
-            events.append(Event(t_min, due[0], count))
-        if Y_CROSSING in due:
-            iy += 1
-        if X_CROSSING in due:
-            ix += 1
-        if MEETING in due:
-            im += 1
+    meetings = 0
+    for t, due in groupby(heapq.merge(*streams, key=itemgetter(0)), key=itemgetter(0)):
+        kinds = [kind for _, kind in due]
+        if MEETING in kinds:
+            meetings += 1
+        # Coincidence of streams means a meeting at the origin itself.
+        events.append(Event(t, kinds[0] if len(kinds) == 1 else COLLISION, meetings))
     return EventLog(tuple(events), horizon)
 
 
@@ -153,8 +92,5 @@ def recorded_sets(log: EventLog) -> tuple[IntSet, IntSet]:
         raise CollisionPresent(f"meeting at the origin at t={bad[0].time}; recorded sets are void")
     xs = [e.count for e in log.events if e.kind == X_CROSSING and e.count >= 1]
     ys = [e.count for e in log.events if e.kind == Y_CROSSING and e.count >= 1]
-    horizon = 0
-    for e in log.events:
-        if e.kind in (X_CROSSING, Y_CROSSING) and e.count > horizon:
-            horizon = e.count
+    horizon = max((e.count for e in log.events if e.kind in (X_CROSSING, Y_CROSSING)), default=0)
     return IntSet(tuple(xs), horizon), IntSet(tuple(ys), horizon)

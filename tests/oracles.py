@@ -5,7 +5,10 @@ The decimal oracles go through the stdlib `decimal` module at high
 precision; they are advisory: where they and the exact route disagree, the
 exact route is authoritative, and the tests treat any disagreement as a
 failure to be investigated rather than auto-resolved.  `bisect_floor` uses
-integers only and is exact for every input.
+integers only and is exact for every input.  `bisect_meeting_time` is the
+simulator's former meeting solver, kept as the slow path that the
+closed-form `level_times` streams are checked against; it asks the map only
+for `eval` at integer points.
 """
 
 from __future__ import annotations
@@ -78,3 +81,31 @@ def bisect_floor(a: int, b: int, d: int, c: int) -> int:
         else:
             hi = mid
     return lo
+
+
+def bisect_meeting_time(phi, k: int):
+    """The unique t with phi(t) + t = k, for a map phi with exact `eval`.
+
+    phi(t) + t is continuous, strictly increasing and unbounded, so the
+    solution exists for every k >= 1.  The bracketing integer interval is
+    found by doubling and bisection on exact values, then the linear piece
+    inside it is solved in closed form.
+    """
+
+    def total(j: int):
+        return phi.eval(j) + j if j else 0
+
+    hi = 1
+    while total(hi) < k:
+        hi *= 2
+    lo = hi // 2  # total(lo) < k <= total(hi), with total(0) = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if total(mid) < k:
+            lo = mid
+        else:
+            hi = mid
+    y_lo = phi.eval(lo) if lo else 0
+    slope = phi.eval(hi) - y_lo
+    # On [lo, hi]: phi(t) + t = y_lo + lo + (t - lo)(slope + 1).
+    return lo + (k - (y_lo + lo)) / (slope + 1)

@@ -210,6 +210,11 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", '{"kind":"linear","lambda":"1"}', "1.5")
         assert code == 2 and "ParseError" in err
 
+    def test_alias_tail_kind_exits_2(self, capsys):
+        phi = '{"kind":"piecewise","anchors":[[1,"1/2"]],"tail":{"kind":"extend_last_slope"}}'
+        code, _, err = run(capsys, "simulate", phi, "3")
+        assert code == 2 and "ParseError" in err
+
 
 class TestClassify:
     def test_classes(self, tmp_path, capsys):

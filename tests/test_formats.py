@@ -179,6 +179,14 @@ class TestMapForms:
         with pytest.raises(ParseError):
             map_from_json(obj)
 
+    @pytest.mark.parametrize(
+        "tail", [{"kind": "extend_last_slope"}, {"kind": "saturate_toward", "limit": "3"}]
+    )
+    def test_alias_tail_kinds_rejected(self, tail):
+        # Only the names map_to_json writes are accepted.
+        with pytest.raises(ParseError, match="unknown map tail kind"):
+            map_from_json({"kind": "piecewise", "anchors": [[1, "1/2"]], "tail": tail})
+
     def test_parse_map_bad_json(self):
         with pytest.raises(ParseError, match="bad map JSON"):
             parse_map("{")

@@ -1,8 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lamo import (
     CollisionPresent,
@@ -12,15 +13,16 @@ from lamo import (
     construct_phi,
     corollary_sets,
     meeting_count,
-    meeting_time,
     recorded_sets,
     simulate,
 )
-from lamo.errors import NonPositiveTime, NotPositive
+from lamo.continuous import PiecewiseMap
+from lamo.errors import NonPositiveTime
 from lamo.exact import ExactNumber
 from lamo.runner import COLLISION, MEETING, X_CROSSING, Y_CROSSING
 
 from gen import random_rational_map
+from oracles import bisect_meeting_time
 
 GOLDEN = ExactNumber(-1, 1, 5, 2)
 SQRT2 = ExactNumber.sqrt(2)
@@ -29,24 +31,105 @@ SAT3 = construct_phi(NumberSequence((1, 1, 2), Tail.constant(2)))
 map_seeds = st.integers(0, 2**32)
 
 
+def meetings(phi, T):
+    return dict(phi.level_times(1, T))
+
+
+def oracle_meetings(phi, T):
+    """[(k, t_k)] for every meeting t_k <= T, by the bisection oracle."""
+    out = []
+    for k in itertools.count(1):
+        t = bisect_meeting_time(phi, k)
+        if t > T:
+            return out
+        out.append((k, t))
+
+
+def oracle_crossings(phi, T):
+    """[(j, phi^-1(j))] for every integer j in the image crossed by time T."""
+    out = []
+    for j in itertools.count(1):
+        if not phi.image_contains(j) or phi.inverse_eval(j) > T:
+            return out
+        out.append((j, phi.inverse_eval(j)))
+
+
+@st.composite
+def quadratic_slopes(draw):
+    """A positive (a + b*sqrt(d))/c with small integer fields."""
+    d = draw(st.integers(2, 50))
+    a, b = draw(st.integers(-6, 6)), draw(st.integers(-4, 4))
+    x = ExactNumber(a, b, d, draw(st.integers(1, 5)))
+    assume(x.sign() > 0)
+    return x
+
+
+horizons = st.fractions(min_value=Fraction(1, 3), max_value=25, max_denominator=7)
+
+
 class TestMeetingTime:
     def test_golden_first_meeting(self):
         # (1+lambda) t = 1 with lambda the golden slope gives t = lambda
-        assert meeting_time(LinearMap(GOLDEN), 1) == GOLDEN
+        assert next(LinearMap(GOLDEN).level_times(1, 1)) == (1, GOLDEN)
 
     def test_sat3_meetings(self):
-        assert meeting_time(SAT3, 1) == Fraction(2, 5)
-        assert meeting_time(SAT3, 4) == Fraction(54, 25)
+        ts = meetings(SAT3, 3)
+        assert ts[1] == Fraction(2, 5)
+        assert ts[4] == Fraction(54, 25)
 
     def test_exactness(self):
         phi = LinearMap(SQRT2)
+        ts = meetings(phi, 40)
         for k in (1, 2, 7, 40):
-            t = meeting_time(phi, k)
-            assert phi.eval(t) + t == ExactNumber(k)
+            assert phi.eval(ts[k]) + ts[k] == ExactNumber(k)
 
-    def test_index_validation(self):
-        with pytest.raises(NotPositive):
-            meeting_time(SAT3, 0)
+
+class TestLevelTimes:
+    @given(map_seeds, horizons)
+    @settings(max_examples=60, deadline=None)
+    def test_piecewise_against_oracles(self, seed, T):
+        phi = random_rational_map(random.Random(seed))
+        assert list(phi.level_times(1, T)) == oracle_meetings(phi, T)
+        assert list(phi.level_times(0, T)) == oracle_crossings(phi, T)
+
+    @given(quadratic_slopes(), horizons)
+    @settings(max_examples=60, deadline=None)
+    def test_linear_against_oracles(self, slope, T):
+        phi = LinearMap(slope)
+        assert list(phi.level_times(1, T)) == oracle_meetings(phi, T)
+        assert list(phi.level_times(0, T)) == oracle_crossings(phi, T)
+
+    def test_meeting_exactly_at_horizon_is_kept(self):
+        phi = LinearMap(SQRT2)
+        T = 3 / (1 + SQRT2)
+        assert list(phi.level_times(1, T)) == oracle_meetings(phi, T)
+        assert list(phi.level_times(1, T))[-1] == (3, T)
+        last = simulate(phi, T).events[-1]
+        assert (last.time, last.kind, last.count) == (T, MEETING, 3)
+
+    @pytest.mark.parametrize("phi", [SAT3, random_rational_map(random.Random(7))])
+    def test_piecewise_irrational_horizon(self, phi):
+        T = ExactNumber.sqrt(50)
+        assert list(phi.level_times(1, T)) == oracle_meetings(phi, T)
+        assert list(phi.level_times(0, T)) == oracle_crossings(phi, T)
+
+    def test_saturating_large_scale(self):
+        # limit - 1998/(t+1): the crossing of level 999 needs t >= 1997.
+        phi = PiecewiseMap([1], saturation_limit=1000)
+        T = 2100
+        crossings = list(phi.level_times(0, T))
+        assert crossings == oracle_crossings(phi, T)
+        assert [k for k, _ in crossings] == list(range(1, 1000))
+        # A far horizon still ends the crossings at the image, not at T.
+        assert list(phi.level_times(0, 10**9)) == crossings
+        # The meetings go on past the limit, one per unit of phi(t) + t.
+        met = list(phi.level_times(1, T))
+        assert [k for k, _ in met] == list(range(1, meeting_count(phi, T) + 1))
+        assert len(met) == T + 999
+        # The oracle bisects for each meeting, so it checks a sample and the end.
+        for k, t in met[::25] + met[-1:]:
+            assert bisect_meeting_time(phi, k) == t
+        assert bisect_meeting_time(phi, len(met) + 1) > T
 
 
 class TestSimulate:
