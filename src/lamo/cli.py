@@ -17,25 +17,10 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterable, Optional, Union
 
 from . import continuous, formats, runner, sequences
-from .errors import (
-    CollisionPresent,
-    EmptyWindow,
-    HorizonExceeded,
-    IncompatibleRadicands,
-    InfiniteValue,
-    NonPositiveSlope,
-    NonPositiveTime,
-    NotNonDecreasing,
-    NotPositive,
-    NotSorted,
-    OutsideImage,
-    ParseError,
-    UnsupportedPoint,
-    ZeroDenominator,
-)
+from .errors import CollisionPresent, EmptyWindow, HorizonExceeded, LamoError, ParseError
 from .sequences import INF, IntSet, NumberSequence, Tail
 
 EXIT_OK = 0
@@ -44,20 +29,16 @@ EXIT_PARSE = 2
 EXIT_HORIZON = 3
 EXIT_COLLISION = 4
 
-_INPUT_ERRORS = (
-    ParseError,
-    NotNonDecreasing,
-    NotSorted,
-    NotPositive,
-    ZeroDenominator,
-    IncompatibleRadicands,
-    NonPositiveSlope,
-    NonPositiveTime,
-    InfiniteValue,
-    UnsupportedPoint,
-    OutsideImage,
-)
-_HORIZON_ERRORS = (HorizonExceeded, EmptyWindow)
+# Library errors that are not bad input; every other LamoError exits EXIT_PARSE.
+_ERROR_EXITS = {
+    HorizonExceeded: EXIT_HORIZON,
+    EmptyWindow: EXIT_HORIZON,
+    CollisionPresent: EXIT_COLLISION,
+}
+
+# What a subcommand reports, in the one format asked for: a JSON object, a
+# CSV (header, rows) pair, or the finished text.
+Report = Union[dict[str, Any], tuple[list[str], Iterable[list[Any]]], str]
 
 
 def _read_input(path: str) -> str:
@@ -69,14 +50,12 @@ def _read_input(path: str) -> str:
         raise ParseError(f"cannot read {path}: {e}") from None
 
 
-def _resolve_format(args: argparse.Namespace) -> str:
-    fmt = args.format or os.environ.get("LAMO_FORMAT") or "text"
-    if fmt not in ("text", "json", "csv"):
-        raise ParseError(f"unknown output format {fmt!r}")
-    return fmt
-
-
-def _csv_rows(header: list[str], rows: list[list[Any]]) -> str:
+def _render(report: Report) -> str:
+    if isinstance(report, str):
+        return report
+    if isinstance(report, dict):
+        return json.dumps(report) + "\n"
+    header, rows = report
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -84,67 +63,55 @@ def _csv_rows(header: list[str], rows: list[list[Any]]) -> str:
     return buf.getvalue()
 
 
-def _horizon_repr(h: sequences.ExtNat) -> Any:
-    return "unbounded" if h is INF else h
-
-
-def _render_values(v: sequences.ExtNat) -> str:
-    return "inf" if v is INF else str(v)
-
-
-def _sequence_payload(
+def _sequence_report(
     s: NumberSequence, fmt: str, limit: Optional[int], note_horizon: bool
-) -> str:
+) -> Report:
     horizon = s.determined_horizon()
+    exact_through = "unbounded" if horizon is INF else horizon
     shown = len(s.prefix)
     if limit is not None:
         if limit < 0:
             raise ParseError(f"--limit must be >= 0, got {limit}")
         shown = limit if horizon is INF else min(limit, int(horizon))
-    values = [s.value_at(n) for n in range(1, shown + 1)]
-    tail = s.tail if shown >= len(s.prefix) else Tail.unknown()
+    window = NumberSequence(
+        [s.value_at(n) for n in range(1, shown + 1)],
+        s.tail if shown >= len(s.prefix) else Tail.unknown(),
+    )
     if fmt == "json":
-        obj = formats.sequence_to_json(NumberSequence(values, tail))
-        obj["exact_through"] = _horizon_repr(horizon)
-        return json.dumps(obj) + "\n"
+        return {**formats.sequence_to_json(window), "exact_through": exact_through}
     if fmt == "csv":
-        return _csv_rows(["n", "value"], [[n + 1, _render_values(v)] for n, v in enumerate(values)])
-    body = formats.render_sequence_text(NumberSequence(values, tail))
-    if note_horizon:
-        return f"# exact through: {_horizon_repr(horizon)}\n" + body
-    return body
-
-
-def _intset_payload(s: IntSet, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(formats.intset_to_json(s)) + "\n"
-    if fmt == "csv":
-        return _csv_rows(["element"], [[e] for e in s.elements])
-    return formats.render_intset_text(s)
+        rows = ([n, "inf" if v is INF else v] for n, v in enumerate(window.prefix, start=1))
+        return ["n", "value"], rows
+    text = formats.render_sequence_text(window)
+    return f"# exact through: {exact_through}\n{text}" if note_horizon else text
 
 
 # -- subcommands ----------------------------------------------------------
 
 
-def _cmd_invert(args: argparse.Namespace, fmt: str) -> tuple[str, int]:
+def _cmd_invert(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
     f = formats.parse_sequence(_read_input(args.input))
     g = sequences.invert(f)
-    return _sequence_payload(g, fmt, args.limit, note_horizon=True), EXIT_OK
+    return _sequence_report(g, fmt, args.limit, note_horizon=True), EXIT_OK
 
 
-def _cmd_hat(args: argparse.Namespace, fmt: str) -> tuple[str, int]:
+def _cmd_hat(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
     f = formats.parse_sequence(_read_input(args.input))
     s = sequences.hat(f, args.K)
-    return _intset_payload(s, fmt), EXIT_OK
+    if fmt == "json":
+        return formats.intset_to_json(s), EXIT_OK
+    if fmt == "csv":
+        return (["element"], ([e] for e in s.elements)), EXIT_OK
+    return formats.render_intset_text(s), EXIT_OK
 
 
-def _cmd_unhat(args: argparse.Namespace, fmt: str) -> tuple[str, int]:
+def _cmd_unhat(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
     s = formats.parse_intset(_read_input(args.input))
     f = sequences.from_set(s, complete=args.complete)
-    return _sequence_payload(f, fmt, args.limit, note_horizon=False), EXIT_OK
+    return _sequence_report(f, fmt, args.limit, note_horizon=False), EXIT_OK
 
 
-def _cmd_check(args: argparse.Namespace, fmt: str) -> tuple[str, int]:
+def _cmd_check(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
     f = formats.parse_sequence(_read_input(args.f))
     g = formats.parse_sequence(_read_input(args.g))
     witness = sequences.grid_witness(f, g, args.M, args.N)
@@ -154,7 +121,7 @@ def _cmd_check(args: argparse.Namespace, fmt: str) -> tuple[str, int]:
     ok = witness is None and verdict.ok
     code = EXIT_OK if ok else EXIT_VERDICT
     if fmt == "json":
-        obj = {
+        return {
             "grid": {
                 "window": [args.M, args.N],
                 "ok": witness is None,
@@ -168,33 +135,29 @@ def _cmd_check(args: argparse.Namespace, fmt: str) -> tuple[str, int]:
                 "witness": verdict.witness,
             },
             "ok": ok,
-        }
-        return json.dumps(obj) + "\n", code
+        }, code
     if fmt == "csv":
         rows = [
             ["grid", "pass" if witness is None else "fail",
-             "" if witness is None else f"m={witness[0]} n={witness[1]} {witness[2]}"],
+             "" if witness is None else "m={} n={} {}".format(*witness)],
             ["complementary", verdict.kind,
              "" if verdict.witness is None else str(verdict.witness)],
         ]
-        return _csv_rows(["check", "result", "witness"], rows), code
-    lines = []
-    if witness is None:
-        lines.append(f"mutual-inverse {args.M}x{args.N}: pass")
-    else:
-        m, n, kind = witness
-        lines.append(f"mutual-inverse {args.M}x{args.N}: fail at m={m} n={n} ({kind})")
-    lines.append(f"complementary [1,{args.K}]: {verdict}")
-    return "\n".join(lines) + "\n", code
+        return (["check", "result", "witness"], rows), code
+    grid = "pass" if witness is None else "fail at m={} n={} ({})".format(*witness)
+    return (
+        f"mutual-inverse {args.M}x{args.N}: {grid}\n"
+        f"complementary [1,{args.K}]: {verdict}\n"
+    ), code
 
 
-def _cmd_beatty(args: argparse.Namespace, fmt: str) -> tuple[str, int]:
+def _cmd_beatty(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
     lam = formats.parse_exact(args.lam)
     a, b = continuous.beatty_pair(lam, args.K)
     verdict = sequences.check_complementary(a, b, args.K)
     avoid = continuous.lattice_avoidance(continuous.LinearMap(lam), args.K)
     if fmt == "json":
-        obj = {
+        return {
             "A": formats.intset_to_json(a),
             "B": formats.intset_to_json(b),
             "verdict": verdict.kind,
@@ -204,93 +167,72 @@ def _cmd_beatty(args: argparse.Namespace, fmt: str) -> tuple[str, int]:
                 "violation": avoid.violation,
                 "checked_through": avoid.checked_through,
             },
-        }
-        return json.dumps(obj) + "\n", EXIT_OK
+        }, EXIT_OK
     if fmt == "csv":
         rows = [["A", e] for e in a.elements] + [["B", e] for e in b.elements]
-        return _csv_rows(["set", "element"], rows), EXIT_OK
-    lines = [
-        f"A: {a}",
-        f"B: {b}",
-        f"complementary [1,{args.K}]: {verdict}",
-        f"lattice avoidance n<={args.K}: {avoid}",
-    ]
-    return "\n".join(lines) + "\n", EXIT_OK
+        return (["set", "element"], rows), EXIT_OK
+    return (
+        f"A: {a}\nB: {b}\n"
+        f"complementary [1,{args.K}]: {verdict}\n"
+        f"lattice avoidance n<={args.K}: {avoid}\n"
+    ), EXIT_OK
 
 
-def _cmd_construct_phi(args: argparse.Namespace, fmt: str) -> tuple[str, int]:
+def _cmd_construct_phi(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
     f = formats.parse_sequence(_read_input(args.input))
-    phi = continuous.construct_phi(f)
-    obj = formats.map_to_json(phi)
+    obj = formats.map_to_json(continuous.construct_phi(f))
+    if fmt == "json":
+        return obj, EXIT_OK
     if fmt == "csv":
         rows = [[t, v] for t, v in obj["anchors"]]
         rows.append(["tail", obj["tail"]["kind"]])
         if "limit" in obj["tail"]:
             rows.append(["limit", obj["tail"]["limit"]])
-        return _csv_rows(["t", "value"], rows), EXIT_OK
-    indent = 2 if fmt == "text" else None
-    return json.dumps(obj, indent=indent) + "\n", EXIT_OK
+        return (["t", "value"], rows), EXIT_OK
+    return json.dumps(obj, indent=2) + "\n", EXIT_OK
 
 
-def _read_map(arg: str) -> continuous.MonotoneMap:
-    text = arg if arg.lstrip().startswith("{") else _read_input(arg)
-    return formats.parse_map(text)
-
-
-def _cmd_simulate(args: argparse.Namespace, fmt: str) -> tuple[str, int]:
-    phi = _read_map(args.map)
-    horizon = formats.parse_exact(args.T)
-    log = runner.simulate(phi, horizon)
-    trace = formats.events_to_jsonl(log)
-    collisions = log.collisions()
-    if collisions:
+def _cmd_simulate(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
+    text = args.map if args.map.lstrip().startswith("{") else _read_input(args.map)
+    phi = formats.parse_map(text)
+    log = runner.simulate(phi, formats.parse_exact(args.T))
+    if collisions := log.collisions():
         t = collisions[0].time
-        if fmt == "json":
-            obj = {
-                "events": [formats.event_to_json(e.time, e.kind, e.count) for e in log.events],
-                "collision_at": t.literal(),
-            }
-            return json.dumps(obj) + "\n", EXIT_COLLISION
-        if fmt == "csv":
-            rows = [[e.time.literal(), e.kind, e.count] for e in log.events]
-            return _csv_rows(["t", "kind", "count"], rows), EXIT_COLLISION
-        return trace + f"collision at t={t}\n", EXIT_COLLISION
-    s_x, s_y = runner.recorded_sets(log)
-    h = s_x.horizon
-    if h >= 1:
-        alg_y, alg_x = continuous.corollary_sets(phi, h)
+        code = EXIT_COLLISION
+        summary = {"collision_at": t.literal()} if fmt == "json" else f"collision at t={t}\n"
     else:
-        alg_y, alg_x = IntSet((), 0), IntSet((), 0)
-    agree = s_x == alg_x and s_y == alg_y
-    code = EXIT_OK if agree else EXIT_VERDICT
+        s_x, s_y = runner.recorded_sets(log)
+        h = s_x.horizon
+        alg_y, alg_x = continuous.corollary_sets(phi, h) if h >= 1 else (IntSet((), 0),) * 2
+        agree = s_x == alg_x and s_y == alg_y
+        code = EXIT_OK if agree else EXIT_VERDICT
+        if fmt == "json":
+            summary = {
+                "recorded": {"S_X": formats.intset_to_json(s_x), "S_Y": formats.intset_to_json(s_y)},
+                "algebraic": {"S_X": formats.intset_to_json(alg_x), "S_Y": formats.intset_to_json(alg_y)},
+                "agree": agree,
+            }
+        else:
+            summary = (
+                f"recorded S_X: {s_x}\nrecorded S_Y: {s_y}\n"
+                f"algebraic S_X: {alg_x}\nalgebraic S_Y: {alg_y}\n"
+                f"agree: {'yes' if agree else 'NO'}\n"
+            )
     if fmt == "json":
-        obj = {
-            "events": [formats.event_to_json(e.time, e.kind, e.count) for e in log.events],
-            "recorded": {"S_X": formats.intset_to_json(s_x), "S_Y": formats.intset_to_json(s_y)},
-            "algebraic": {"S_X": formats.intset_to_json(alg_x), "S_Y": formats.intset_to_json(alg_y)},
-            "agree": agree,
-        }
-        return json.dumps(obj) + "\n", code
+        events = [formats.event_to_json(e.time, e.kind, e.count) for e in log.events]
+        return {"events": events, **summary}, code
     if fmt == "csv":
-        rows = [[e.time.literal(), e.kind, e.count] for e in log.events]
-        return _csv_rows(["t", "kind", "count"], rows), code
-    lines = [
-        f"recorded S_X: {s_x}",
-        f"recorded S_Y: {s_y}",
-        f"algebraic S_X: {alg_x}",
-        f"algebraic S_Y: {alg_y}",
-        f"agree: {'yes' if agree else 'NO'}",
-    ]
-    return trace + "\n".join(lines) + "\n", code
+        rows = ([e.time.literal(), e.kind, e.count] for e in log.events)
+        return (["t", "kind", "count"], rows), code
+    return formats.events_to_jsonl(log) + summary, code
 
 
-def _cmd_classify(args: argparse.Namespace, fmt: str) -> tuple[str, int]:
-    f = formats.parse_sequence(_read_input(args.input))
-    cls = sequences.classify(f)
+def _cmd_classify(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
+    cls = sequences.classify(formats.parse_sequence(_read_input(args.input)))
     if fmt == "json":
-        return json.dumps({"class": cls}) + "\n", EXIT_OK
+        return {"class": cls}, EXIT_OK
     if fmt == "csv":
-        return _csv_rows(["class"], [[cls]]), EXIT_OK
+        return (["class"], [[cls]]), EXIT_OK
     return cls + "\n", EXIT_OK
 
 
@@ -303,8 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default=None,
                         help="output format (default: $LAMO_FORMAT or text)")
-    common.add_argument("--limit", type=int, default=None, metavar="N",
-                        help="cap on printed sequence terms")
     common.add_argument("--output", default=None, metavar="PATH",
                         help="write the report to PATH instead of stdout")
 
@@ -313,6 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", parents=[common],
                        help="counting inverse g(n) = |{m : f(m) < n}|")
     p.add_argument("input", help="sequence file, '-' for stdin")
+    p.add_argument("--limit", type=int, metavar="N", help="cap on printed sequence terms")
     p.set_defaults(fn=_cmd_invert)
 
     p = sub.add_parser("hat", parents=[common],
@@ -324,6 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("unhat", parents=[common],
                        help="the sequence s_n - n of a set")
     p.add_argument("input", help="set file")
+    p.add_argument("--limit", type=int, metavar="N", help="cap on printed sequence terms")
     p.add_argument("--complete", action="store_true",
                    help="the set lists every element, not just a window")
     p.set_defaults(fn=_cmd_unhat)
@@ -363,20 +305,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    fmt = args.format or os.environ.get("LAMO_FORMAT") or "text"
     try:
-        fmt = _resolve_format(args)
-        payload, code = args.fn(args, fmt)
-    except _INPUT_ERRORS as e:
+        if fmt not in ("text", "json", "csv"):
+            raise ParseError(f"unknown output format {fmt!r}")
+        report, code = args.fn(args, fmt)
+    except LamoError as e:
         print(f"lamo: {e.__class__.__name__}: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except _HORIZON_ERRORS as e:
-        print(f"lamo: {e.__class__.__name__}: {e}", file=sys.stderr)
-        return EXIT_HORIZON
-    except CollisionPresent as e:
-        print(f"lamo: {e.__class__.__name__}: {e}", file=sys.stderr)
-        return EXIT_COLLISION
+        return next((c for cls, c in _ERROR_EXITS.items() if isinstance(e, cls)), EXIT_PARSE)
+    payload = _render(report)
     if args.output:
         try:
             Path(args.output).write_text(payload)

@@ -75,6 +75,8 @@ def parse_sequence_text(text: str) -> NumberSequence:
                     v = int(parts[2])
                 except ValueError:
                     raise ParseError(f"line {lineno}: bad constant value {parts[2]!r}") from None
+                if v < 0:
+                    raise ParseError(f"line {lineno}: constant tail value must be >= 0, got {v}")
                 tail = Tail.constant(v)
             elif parts[1:] == ["infinite"]:
                 tail = Tail.infinite()

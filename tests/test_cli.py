@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from lamo import cli
 from lamo.cli import main
+from lamo.errors import LamoError
 
 SQUARES = "1\n4\n9\n16\n25\n#tail unknown\n"
 BOUNDED = "1\n1\n2\n#tail constant 2\n"
@@ -71,6 +73,11 @@ class TestInvert:
         code, _, err = run(capsys, "invert", "/nonexistent/f.txt")
         assert code == 2 and "cannot read" in err
 
+    def test_negative_constant_tail_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1\n2\n#tail constant -3\n"))
+        code, _, err = run(capsys, "invert", "-")
+        assert code == 2 and "ParseError: line 3" in err
+
 
 class TestHatUnhat:
     def test_hat_window(self, tmp_path, capsys):
@@ -78,6 +85,13 @@ class TestHatUnhat:
         code, out, _ = run(capsys, "hat", f, "100")
         assert code == 0
         assert out == "1\n2\n4\n8\n#horizon 100\n"
+
+    def test_hat_rejects_limit(self, tmp_path, capsys):
+        f = write(tmp_path, "s.txt", HATIN)
+        with pytest.raises(SystemExit) as exc:
+            main(["hat", f, "10", "--limit", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --limit 3" in capsys.readouterr().err
 
     def test_hat_beyond_horizon_exits_3(self, tmp_path, capsys):
         f = write(tmp_path, "w.txt", "1\n2\n#tail unknown\n")
@@ -263,3 +277,140 @@ class TestGlobalFlags:
 
         assert code == 0
         assert intset_from_json(json.loads(out)) == hat(parse_sequence(SQUARES), 26)
+
+
+GOLDEN_INPUTS = {
+    "squares": SQUARES,
+    "bounded": BOUNDED,
+    "hatin": HATIN,
+    "short": "1\n2\n3\n#tail unknown\n",
+    "hatset": "1\n2\n4\n8\n#horizon 8\n",
+}
+
+# Exact stdout and exit code of every subcommand in every format; a name
+# from GOLDEN_INPUTS stands for a file holding that text.
+GOLDEN = [
+    pytest.param(['invert', 'squares', '--limit', '4'], 'text', 0,
+                 '# exact through: 25\n0\n1\n1\n1\n#tail unknown\n', id='invert-text'),
+    pytest.param(['invert', 'squares', '--limit', '4'], 'json', 0,
+                 '{"terms": [0, 1, 1, 1], "tail": {"kind": "unknown"}, "exact_through": 25}\n',
+                 id='invert-json'),
+    pytest.param(['invert', 'squares', '--limit', '4'], 'csv', 0,
+                 'n,value\n1,0\n2,1\n3,1\n4,1\n', id='invert-csv'),
+    pytest.param(['hat', 'hatin', '10'], 'text', 0,
+                 '1\n2\n4\n8\n#horizon 10\n', id='hat-text'),
+    pytest.param(['hat', 'hatin', '10'], 'json', 0,
+                 '{"elements": [1, 2, 4, 8], "horizon": 10}\n', id='hat-json'),
+    pytest.param(['hat', 'hatin', '10'], 'csv', 0,
+                 'element\n1\n2\n4\n8\n', id='hat-csv'),
+    pytest.param(['unhat', 'hatset', '--complete', '--limit', '6'], 'text', 0,
+                 '0\n0\n1\n4\ninf\ninf\n#tail infinite\n', id='unhat-text'),
+    pytest.param(['unhat', 'hatset', '--complete', '--limit', '6'], 'json', 0, (
+        '{"terms": [0, 0, 1, 4, "inf", "inf"], "tail": {"kind": "infinite"}, '
+        '"exact_through": "unbounded"}\n'
+    ), id='unhat-json'),
+    pytest.param(['unhat', 'hatset', '--complete', '--limit', '6'], 'csv', 0,
+                 'n,value\n1,0\n2,0\n3,1\n4,4\n5,inf\n6,inf\n', id='unhat-csv'),
+    pytest.param(['check', 'short', 'short', '3', '3', '6'], 'text', 1, (
+        'mutual-inverse 3x3: fail at m=1 n=1 (neither)\n'
+        'complementary [1,6]: overlap(2)\n'
+    ), id='check-text'),
+    pytest.param(['check', 'short', 'short', '3', '3', '6'], 'json', 1, (
+        '{"grid": {"window": [3, 3], "ok": false, "witness": {"m": 1, "n": 1, '
+        '"kind": "neither"}}, "complementary": {"window": 6, "verdict": "overlap", '
+        '"witness": 2}, "ok": false}\n'
+    ), id='check-json'),
+    pytest.param(['check', 'short', 'short', '3', '3', '6'], 'csv', 1,
+                 'check,result,witness\ngrid,fail,m=1 n=1 neither\ncomplementary,overlap,2\n',
+                 id='check-csv'),
+    pytest.param(['beatty', '2/3', '6'], 'text', 0, (
+        'A: {1, 3, 5, 6} horizon 6\nB: {2, 5} horizon 6\n'
+        'complementary [1,6]: overlap(5)\nlattice avoidance n<=6: violation(3)\n'
+    ), id='beatty-text'),
+    pytest.param(['beatty', '2/3', '6'], 'json', 0, (
+        '{"A": {"elements": [1, 3, 5, 6], "horizon": 6}, "B": {"elements": [2, 5], '
+        '"horizon": 6}, "verdict": "overlap", "witness": 5, '
+        '"avoidance": {"holds": false, "violation": 3, "checked_through": 6}}\n'
+    ), id='beatty-json'),
+    pytest.param(['beatty', '2/3', '6'], 'csv', 0,
+                 'set,element\nA,1\nA,3\nA,5\nA,6\nB,2\nB,5\n', id='beatty-csv'),
+    pytest.param(['construct-phi', 'bounded'], 'text', 0, (
+        '{\n  "kind": "piecewise",\n  "anchors": [\n    [\n      1,\n      "3/2"\n'
+        '    ],\n    [\n      2,\n      "5/3"\n    ],\n    [\n      3,\n'
+        '      "11/4"\n    ]\n  ],\n  "tail": {\n    "kind": "saturate",\n'
+        '    "limit": "3"\n  }\n}\n'
+    ), id='construct-phi-text'),
+    pytest.param(['construct-phi', 'bounded'], 'json', 0, (
+        '{"kind": "piecewise", "anchors": [[1, "3/2"], [2, "5/3"], [3, "11/4"]], '
+        '"tail": {"kind": "saturate", "limit": "3"}}\n'
+    ), id='construct-phi-json'),
+    pytest.param(['construct-phi', 'bounded'], 'csv', 0,
+                 't,value\n1,3/2\n2,5/3\n3,11/4\ntail,saturate\nlimit,3\n',
+                 id='construct-phi-csv'),
+    pytest.param(['simulate', '{"kind":"linear","lambda":"sqrt(2)"}', '1'], 'text', 0, (
+        '{"t": "(-1+1*sqrt(2))", "kind": "meeting", "count": 1}\n'
+        '{"t": "sqrt(2)/2", "kind": "x_crosses_origin", "count": 1}\n'
+        '{"t": "(-2+2*sqrt(2))", "kind": "meeting", "count": 2}\n'
+        '{"t": "1", "kind": "y_crosses_origin", "count": 2}\n'
+        'recorded S_X: {1} horizon 2\nrecorded S_Y: {2} horizon 2\n'
+        'algebraic S_X: {1} horizon 2\nalgebraic S_Y: {2} horizon 2\nagree: yes\n'
+    ), id='simulate-text'),
+    pytest.param(['simulate', '{"kind":"linear","lambda":"sqrt(2)"}', '1'], 'json', 0, (
+        '{"events": [{"t": "(-1+1*sqrt(2))", "kind": "meeting", "count": 1}, '
+        '{"t": "sqrt(2)/2", "kind": "x_crosses_origin", "count": 1}, '
+        '{"t": "(-2+2*sqrt(2))", "kind": "meeting", "count": 2}, {"t": "1", '
+        '"kind": "y_crosses_origin", "count": 2}], '
+        '"recorded": {"S_X": {"elements": [1], "horizon": 2}, "S_Y": {"elements": [2], '
+        '"horizon": 2}}, "algebraic": {"S_X": {"elements": [1], "horizon": 2}, '
+        '"S_Y": {"elements": [2], "horizon": 2}}, "agree": true}\n'
+    ), id='simulate-json'),
+    pytest.param(['simulate', '{"kind":"linear","lambda":"sqrt(2)"}', '1'], 'csv', 0, (
+        't,kind,count\n(-1+1*sqrt(2)),meeting,1\nsqrt(2)/2,x_crosses_origin,1\n'
+        '(-2+2*sqrt(2)),meeting,2\n1,y_crosses_origin,2\n'
+    ), id='simulate-csv'),
+    pytest.param(['simulate', '{"kind":"linear","lambda":"1"}', '2'], 'text', 4, (
+        '{"t": "1/2", "kind": "meeting", "count": 1}\n'
+        '{"t": "1", "kind": "collision", "count": 2}\n'
+        '{"t": "3/2", "kind": "meeting", "count": 3}\n'
+        '{"t": "2", "kind": "collision", "count": 4}\ncollision at t=1\n'
+    ), id='simulate-collision-text'),
+    pytest.param(['simulate', '{"kind":"linear","lambda":"1"}', '2'], 'json', 4, (
+        '{"events": [{"t": "1/2", "kind": "meeting", "count": 1}, {"t": "1", '
+        '"kind": "collision", "count": 2}, {"t": "3/2", "kind": "meeting", '
+        '"count": 3}, {"t": "2", "kind": "collision", "count": 4}], '
+        '"collision_at": "1"}\n'
+    ), id='simulate-collision-json'),
+    pytest.param(['simulate', '{"kind":"linear","lambda":"1"}', '2'], 'csv', 4,
+                 't,kind,count\n1/2,meeting,1\n1,collision,2\n3/2,meeting,3\n2,collision,4\n',
+                 id='simulate-collision-csv'),
+    pytest.param(['classify', 'bounded'], 'text', 0,
+                 'bounded\n', id='classify-text'),
+    pytest.param(['classify', 'bounded'], 'json', 0,
+                 '{"class": "bounded"}\n', id='classify-json'),
+    pytest.param(['classify', 'bounded'], 'csv', 0,
+                 'class\nbounded\n', id='classify-csv'),
+]
+
+
+@pytest.mark.parametrize("argv, fmt, code, expected", GOLDEN)
+def test_golden_output(tmp_path, capsys, argv, fmt, code, expected):
+    argv = [write(tmp_path, a, GOLDEN_INPUTS[a]) if a in GOLDEN_INPUTS else a for a in argv]
+    assert run(capsys, *argv, "--format", fmt)[:2] == (code, expected)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize("error", [LamoError, *_subclasses(LamoError)], ids=lambda c: c.__name__)
+def test_error_table(tmp_path, capsys, monkeypatch, error):
+    def fail(args, fmt):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_classify", fail)
+    code, out, err = run(capsys, "classify", write(tmp_path, "f.txt", BOUNDED))
+    expected = {"HorizonExceeded": 3, "EmptyWindow": 3, "CollisionPresent": 4}
+    assert code == expected.get(error.__name__, 2)
+    assert out == "" and err == f"lamo: {error.__name__}: boom\n"

@@ -66,6 +66,10 @@ class TestSequenceText:
         with pytest.raises(ParseError, match="line 1"):
             parse_sequence_text("-3\n#tail unknown\n")
 
+    def test_negative_constant_tail_rejected(self):
+        with pytest.raises(ParseError, match="line 3"):
+            parse_sequence_text("1\n2\n#tail constant -3\n")
+
 
 class TestSequenceJson:
     def test_round_trip(self):
