@@ -21,6 +21,7 @@ from typing import Any, Iterable, Optional, Union
 
 from . import continuous, formats, runner, sequences
 from .errors import CollisionPresent, EmptyWindow, HorizonExceeded, LamoError, ParseError
+from .exact import ExactNumber
 from .sequences import INF, IntSet, NumberSequence, Tail
 
 EXIT_OK = 0
@@ -152,7 +153,7 @@ def _cmd_check(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
 
 
 def _cmd_beatty(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
-    lam = formats.parse_exact(args.lam)
+    lam = ExactNumber.parse(args.lam)
     a, b = continuous.beatty_pair(lam, args.K)
     verdict = sequences.check_complementary(a, b, args.K)
     avoid = continuous.lattice_avoidance(continuous.LinearMap(lam), args.K)
@@ -195,7 +196,7 @@ def _cmd_construct_phi(args: argparse.Namespace, fmt: str) -> tuple[Report, int]
 def _cmd_simulate(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
     text = args.map if args.map.lstrip().startswith("{") else _read_input(args.map)
     phi = formats.parse_map(text)
-    log = runner.simulate(phi, formats.parse_exact(args.T))
+    log = runner.simulate(phi, ExactNumber.parse(args.T))
     if collisions := log.collisions():
         t = collisions[0].time
         code = EXIT_COLLISION

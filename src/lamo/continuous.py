@@ -207,14 +207,10 @@ class PiecewiseMap(MonotoneMap):
                 t = n + (w - self.values[-1]) / self._last_slope()
                 return ExactNumber.from_fraction(t)
             assert self._scale is not None
-            # Smallest grid point j > n with anchor(j) >= w, then invert the
-            # linear run into it.  The candidate from limit - scale/(j+1) >= w
-            # is verified exactly and nudged if needed.
-            j = max(n + 1, math.ceil(self._scale / (self.limit - w) - 1))
-            while self.anchor(j) < w:
-                j += 1
-            while j > n + 1 and self.anchor(j - 1) >= w:
-                j -= 1
+            # Smallest grid point j with anchor(j) >= w, then invert the
+            # linear run into it: limit - scale/(j+1) >= w iff
+            # j >= scale/(limit - w) - 1, so j > n since anchor(n) < w.
+            j = math.ceil(self._scale / (self.limit - w) - 1)
         else:
             j = bisect_left(self.values, w) + 1
         lo = self.anchor(j - 1)

@@ -11,18 +11,15 @@ literal strings like `(-1+1*sqrt(5))/2`, never as floats.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from fractions import Fraction
-from typing import Any, Union
+from typing import Any, Optional, Union
 
 from .continuous import LinearMap, MonotoneMap, PiecewiseMap
-from .errors import ParseError
+from .errors import HorizonExceeded, ParseError
 from .exact import ExactNumber
 from .runner import EventLog
 from .sequences import INF, ExtNat, IntSet, NumberSequence, Tail
-
-
-def parse_exact(text: str) -> ExactNumber:
-    return ExactNumber.parse(text)
 
 
 def _rational_literal(text: Union[str, int], what: str) -> Fraction:
@@ -36,10 +33,6 @@ def _rational_literal(text: Union[str, int], what: str) -> Fraction:
     if not v.is_rational:
         raise ParseError(f"{what} must be rational, got {text!r}")
     return v.as_fraction()
-
-
-def render_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 # -- sequences ------------------------------------------------------------
@@ -154,8 +147,20 @@ def parse_sequence(text: str) -> NumberSequence:
 # -- integer sets ---------------------------------------------------------
 
 
+def _intset(elements: list[int], horizon: int, lines: Optional[list[int]] = None) -> IntSet:
+    """The set, with an element past the file's own horizon reported as bad input."""
+    try:
+        return IntSet(tuple(elements), horizon)
+    except HorizonExceeded:
+        # IntSet checked the order first, so the elements are sorted here.
+        i = bisect_right(elements, horizon)
+        where = f"line {lines[i]}: " if lines else ""
+        raise ParseError(f"{where}element {elements[i]} lies beyond the horizon {horizon}") from None
+
+
 def parse_intset_text(text: str) -> IntSet:
     elements: list[int] = []
+    lines: list[int] = []
     horizon: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -176,9 +181,10 @@ def parse_intset_text(text: str) -> IntSet:
             elements.append(int(line))
         except ValueError:
             raise ParseError(f"line {lineno}: expected an integer, got {line!r}") from None
+        lines.append(lineno)
     if horizon is None:
         horizon = elements[-1] if elements else 0
-    return IntSet(tuple(elements), horizon)
+    return _intset(elements, horizon, lines)
 
 
 def render_intset_text(s: IntSet) -> str:
@@ -202,7 +208,7 @@ def intset_from_json(obj: Any) -> IntSet:
         raise ParseError("set JSON needs an integer 'elements' array")
     if not isinstance(horizon, int) or isinstance(horizon, bool):
         raise ParseError("set JSON needs an integer 'horizon'")
-    return IntSet(tuple(elems), horizon)
+    return _intset(elems, horizon)
 
 
 def parse_intset(text: str) -> IntSet:
@@ -223,11 +229,11 @@ def map_to_json(phi: MonotoneMap) -> dict[str, Any]:
     if isinstance(phi, LinearMap):
         return {"kind": "linear", "lambda": phi.slope.literal()}
     if isinstance(phi, PiecewiseMap):
-        anchors = [[i, render_fraction(v)] for i, v in enumerate(phi.values, start=1)]
+        anchors = [[i, str(v)] for i, v in enumerate(phi.values, start=1)]
         if phi.limit is None:
             tail: dict[str, Any] = {"kind": "extend"}
         else:
-            tail = {"kind": "saturate", "limit": render_fraction(phi.limit)}
+            tail = {"kind": "saturate", "limit": str(phi.limit)}
         return {"kind": "piecewise", "anchors": anchors, "tail": tail}
     raise TypeError(f"no JSON form for {phi!r}")
 

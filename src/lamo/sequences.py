@@ -8,13 +8,16 @@ raises instead of guessing.
 
 The central operation is `invert`, the counting inverse
 g(n) = |{m : f(m) < n}|, together with the hat map n -> n + f(n) and the
-complementarity check on the induced integer sets.
+complementarity check on the induced integer sets.  The window check
+`grid_witness` rests on the same count: by the Lambek-Moser theorem,
+exactly one of f(m) < n, g(n) < m holds for every pair iff g is the
+counting inverse of f, so each row compares f(m) with a count of g.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -75,11 +78,13 @@ class Tail:
 class NumberSequence:
     """Finite prefix of a sequence over ExtNat, plus a tail descriptor.
 
-    Construction checks only that entries are well-typed; monotonicity and
-    tail consistency are the job of `check_non_decreasing`, and every
-    operation that needs them verifies first.  Equality is semantic: two
-    values compare equal when they denote the same total function, e.g. a
-    prefix ending in the constant-tail value equals the shorter prefix.
+    Construction checks only that entries are well-typed, and records an
+    unknown tail after a prefix ending in inf as infinite, since that inf
+    forces every later value.  Monotonicity and tail consistency are the
+    job of `check_non_decreasing`, and every operation that needs them
+    verifies first.  Equality is semantic: two values compare equal when
+    they denote the same total function, e.g. a prefix ending in the
+    constant-tail value equals the shorter prefix.
     """
 
     __slots__ = ("_prefix", "_tail")
@@ -91,6 +96,8 @@ class NumberSequence:
                 raise ValueError(f"sequence entry must be a non-negative int or inf: {v!r}")
         if not isinstance(tail, Tail):
             raise TypeError("tail must be a Tail")
+        if tail.kind == "unknown" and entries and entries[-1] is INF:
+            tail = Tail.infinite()
         self._prefix = entries
         self._tail = tail
 
@@ -107,18 +114,9 @@ class NumberSequence:
 
     # -- semantics --------------------------------------------------------
 
-    def _effective_tail(self) -> Tail:
-        # A prefix ending in INF forces every later value to INF, whatever
-        # the declared tail says.
-        if self._tail.kind == "unknown" and self._prefix and self._prefix[-1] is INF:
-            return Tail.infinite()
-        return self._tail
-
     def determined_horizon(self) -> ExtNat:
         """Largest index n for which value_at(n) is answerable (INF if all)."""
-        if self._effective_tail().kind == "unknown":
-            return len(self._prefix)
-        return INF
+        return len(self._prefix) if self._tail.kind == "unknown" else INF
 
     def value_at(self, n: int) -> ExtNat:
         """f(n) for 1-indexed n, or HorizonExceeded past the known window."""
@@ -126,7 +124,7 @@ class NumberSequence:
             raise NotPositive(f"sequence index must be >= 1, got {n!r}")
         if n <= len(self._prefix):
             return self._prefix[n - 1]
-        t = self._effective_tail()
+        t = self._tail
         if t.kind == "constant":
             return t.value  # type: ignore[return-value]
         if t.kind == "infinite":
@@ -134,7 +132,7 @@ class NumberSequence:
         raise HorizonExceeded(f"value at index {n} is outside the known prefix of length {len(self._prefix)}")
 
     def _canonical(self) -> tuple[tuple[ExtNat, ...], Tail]:
-        t = self._effective_tail()
+        t = self._tail
         p = list(self._prefix)
         if t.kind == "constant":
             while p and p[-1] == t.value:
@@ -234,16 +232,6 @@ def _require_non_decreasing(s: NumberSequence) -> None:
         raise NotNonDecreasing(f"sequence is not non-decreasing: {s}")
 
 
-def _finite_run(prefix: tuple[ExtNat, ...]) -> list[int]:
-    # Leading finite entries; in a valid sequence INF entries form the tail run.
-    out: list[int] = []
-    for v in prefix:
-        if v is INF:
-            break
-        out.append(v)  # type: ignore[arg-type]
-    return out
-
-
 def invert(f: NumberSequence) -> NumberSequence:
     """Counting inverse g(n) = |{m : f(m) < n}|.
 
@@ -253,32 +241,21 @@ def invert(f: NumberSequence) -> NumberSequence:
     yields g known exactly for n up to the last prefix value.
     """
     _require_non_decreasing(f)
-    t = f._effective_tail()
-    prefix = f.prefix
-
+    # In a valid sequence the INF entries, if any, end the prefix.
+    run = f.prefix[: bisect_left(f.prefix, INF)]
+    t = f.tail
     if t.kind == "infinite":
-        vals = _finite_run(prefix)
-        if not vals:
-            return NumberSequence((), Tail.constant(0))
-        top = vals[-1]
-        g = [bisect_left(vals, n) for n in range(1, top + 1)]
-        return NumberSequence(g, Tail.constant(len(vals)))
-
-    if t.kind == "constant":
-        v = t.value
-        assert v is not None
-        g = [bisect_left(prefix, n) for n in range(1, v + 1)]
-        return NumberSequence(g, Tail.infinite())
-
-    # Unknown tail: exact exactly for n <= f(N).
-    if not prefix:
+        top, tail = (run[-1] if run else 0), Tail.constant(len(run))
+    elif t.kind == "constant":
+        top, tail = t.value, Tail.infinite()
+    elif not run:
         raise EmptyWindow("cannot invert an empty prefix with unknown tail")
-    top = prefix[-1]
-    assert top is not INF  # INF endings were rerouted to the infinite case
-    if top == 0:
+    elif run[-1] == 0:
         raise EmptyWindow("inverse of an all-zero known prefix has an empty exact window")
-    g = [bisect_left(prefix, n) for n in range(1, int(top) + 1)]
-    return NumberSequence(g, Tail.unknown())
+    else:
+        # Unknown tail: exact exactly for n <= f(N).
+        top, tail = run[-1], Tail.unknown()
+    return NumberSequence([bisect_left(run, n) for n in range(1, top + 1)], tail)
 
 
 def grid_witness(
@@ -287,19 +264,21 @@ def grid_witness(
     """First (m, n) in the M x N window violating the exactly-one condition.
 
     Returns None when every pair satisfies exactly one of f(m) < n,
-    g(n) < m; otherwise (m, n, "both" | "neither"), scanning m-major.
+    g(n) < m; otherwise (m, n, "both" | "neither"), the first in m-major
+    order.  g must be non-decreasing, so in row m the n with g(n) < m are
+    1..p for p = #{n <= N : g(n) < m}, and the n with f(m) < n are q+1..N
+    for q = min(f(m), N).  The row is clean iff p == q; otherwise both
+    hold first at n = q+1 (p > q) or neither at n = p+1 (p < q).
     """
     if M < 1 or N < 1:
         raise NotPositive("window dimensions must be >= 1")
+    _require_non_decreasing(g)
     fv = [f.value_at(m) for m in range(1, M + 1)]
     gv = [g.value_at(n) for n in range(1, N + 1)]
-    for m in range(1, M + 1):
-        fm = fv[m - 1]
-        for n in range(1, N + 1):
-            first = fm < n
-            second = gv[n - 1] < m
-            if first == second:
-                return (m, n, "both" if first else "neither")
+    for m, fm in enumerate(fv, start=1):
+        p, q = bisect_left(gv, m), min(fm, N)
+        if p != q:
+            return (m, q + 1, "both") if p > q else (m, p + 1, "neither")
     return None
 
 
@@ -312,11 +291,11 @@ def mutually_inverse_on_window(
 
 def hat_horizon(f: NumberSequence) -> ExtNat:
     """Largest K for which hat(f, K) is answerable."""
-    if f._effective_tail().kind != "unknown":
+    if f.tail.kind != "unknown":
         return INF
     if not f.prefix:
         return 0
-    return len(f.prefix) + int(f.prefix[-1])
+    return len(f.prefix) + f.prefix[-1]
 
 
 def hat(f: NumberSequence, K: int) -> IntSet:
@@ -329,24 +308,16 @@ def hat(f: NumberSequence, K: int) -> IntSet:
     _require_non_decreasing(f)
     if not isinstance(K, int) or K < 1:
         raise NotPositive(f"hat window bound must be a positive integer, got {K!r}")
-    t = f._effective_tail()
-    if t.kind == "unknown" and K > hat_horizon(f):
+    if K > hat_horizon(f):
         raise HorizonExceeded(
             f"hat window {K} exceeds the guaranteed horizon {hat_horizon(f)}"
         )
-    elems: list[int] = []
-    for n, fv in enumerate(f.prefix, start=1):
-        if fv is INF:
-            break
-        s = n + int(fv)
-        if s > K:
-            break
-        elems.append(s)
-    if t.kind == "constant":
-        v = t.value
-        assert v is not None
-        for n in range(len(f.prefix) + 1, K - v + 1):
-            elems.append(n + v)
+    run = f.prefix[: bisect_left(f.prefix, INF)]
+    # n + f(n) increases strictly, so only n <= K can give n + f(n) <= K.
+    elems = [n + v for n, v in enumerate(run[:K], start=1)]
+    del elems[bisect_right(elems, K):]
+    if f.tail.kind == "constant":
+        elems.extend(range(len(f.prefix) + 1 + f.tail.value, K + 1))
     return IntSet(tuple(elems), K)
 
 
@@ -358,8 +329,6 @@ def from_set(S: IntSet, complete: bool) -> NumberSequence:
     tail is unknown.
     """
     vals = [e - n for n, e in enumerate(S.elements, start=1)]
-    if any(v < 0 for v in vals):  # pragma: no cover - IntSet already forces e >= 1
-        raise NotPositive("set element smaller than its index")
     if complete:
         return NumberSequence(vals, Tail.infinite())
     return NumberSequence(vals, Tail.unknown())
@@ -402,7 +371,7 @@ def classify(f: NumberSequence) -> str:
     prefix shows and claims nothing beyond it.
     """
     _require_non_decreasing(f)
-    t = f._effective_tail()
+    t = f.tail
     if t.kind == "constant":
         return "bounded"
     if t.kind == "infinite":

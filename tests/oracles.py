@@ -8,7 +8,8 @@ failure to be investigated rather than auto-resolved.  `bisect_floor` uses
 integers only and is exact for every input.  `bisect_meeting_time` is the
 simulator's former meeting solver, kept as the slow path that the
 closed-form `level_times` streams are checked against; it asks the map only
-for `eval` at integer points.
+for `eval` at integer points.  `scan_grid_witness` is the former window
+check, which tests every pair of the window instead of counting.
 """
 
 from __future__ import annotations
@@ -53,6 +54,21 @@ def wythoff_pair(n: int, digits: int = DIGITS) -> tuple[int, int]:
 def counting_inverse(values: list[float], n: int) -> int:
     """|{m : f(m) < n}| by brute enumeration over an explicit finite list."""
     return sum(1 for v in values if v < n)
+
+
+def scan_grid_witness(f, g, M: int, N: int):
+    """First (m, n), m-major, where not exactly one of f(m) < n, g(n) < m holds.
+
+    Reads the sequences only through `value_at` and tests all M*N pairs.
+    """
+    fv = [f.value_at(m) for m in range(1, M + 1)]
+    gv = [g.value_at(n) for n in range(1, N + 1)]
+    for m in range(1, M + 1):
+        for n in range(1, N + 1):
+            first = fv[m - 1] < n
+            if first == (gv[n - 1] < m):
+                return (m, n, "both" if first else "neither")
+    return None
 
 
 def _sign_with_root(p: int, q: int, d: int) -> int:

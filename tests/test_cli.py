@@ -126,6 +126,18 @@ class TestHatUnhat:
         code, _, err = run(capsys, "unhat", setfile)
         assert code == 2 and "NotSorted" in err
 
+    def test_unhat_element_beyond_own_horizon_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1\n2\n5\n#horizon 3\n"))
+        code, _, err = run(capsys, "unhat", "-")
+        assert code == 2
+        assert err == "lamo: ParseError: line 3: element 5 lies beyond the horizon 3\n"
+
+    def test_unhat_json_element_beyond_own_horizon_exits_2(self, tmp_path, capsys):
+        setfile = write(tmp_path, "set.json", '{"elements":[1,2,5,7],"horizon":3}')
+        code, _, err = run(capsys, "unhat", setfile)
+        assert code == 2
+        assert err == "lamo: ParseError: element 5 lies beyond the horizon 3\n"
+
 
 class TestCheck:
     def test_passing_pair(self, tmp_path, capsys):
@@ -141,6 +153,12 @@ class TestCheck:
         code, out, _ = run(capsys, "check", f, f, "3", "3", "6")
         assert code == 1
         assert "fail at m=1 n=1 (neither)" in out
+
+    def test_non_monotone_g_past_its_horizon_exits_2(self, tmp_path, capsys):
+        f = write(tmp_path, "f.txt", "1\n2\n3\n#tail unknown\n")
+        g = write(tmp_path, "g.txt", "2\n1\n#tail unknown\n")
+        code, _, err = run(capsys, "check", f, g, "3", "3", "4")
+        assert code == 2 and "NotNonDecreasing" in err
 
     def test_mismatched_horizon_exits_3(self, tmp_path, capsys):
         f = write(tmp_path, "f.txt", "1\n2\n3\n#tail unknown\n")

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -40,6 +41,17 @@ SAT3 = construct_phi(NumberSequence((1, 1, 2), Tail.constant(2)))
 
 times = st.fractions(min_value=Fraction(1, 200), max_value=60, max_denominator=200)
 map_seeds = st.integers(0, 2**32)
+gaps = st.fractions(min_value=Fraction(1, 50), max_value=5, max_denominator=50)
+
+
+@st.composite
+def saturating_tail_points(draw):
+    """A saturating map and a point w strictly between its last anchor and its limit."""
+    anchors = list(itertools.accumulate(draw(st.lists(gaps, min_size=1, max_size=6))))
+    limit = anchors[-1] + draw(gaps)
+    eps = Fraction(1, 10**6)
+    r = draw(st.fractions(min_value=eps, max_value=1 - eps, max_denominator=10**6))
+    return PiecewiseMap(anchors, saturation_limit=limit), anchors[-1] + r * (limit - anchors[-1])
 
 
 class TestEval:
@@ -102,6 +114,12 @@ class TestInverseEval:
     def test_round_trip_piecewise(self, seed, t):
         phi = random_rational_map(random.Random(seed))
         assert phi.inverse_eval(phi.eval(t)) == ExactNumber.from_fraction(t)
+
+    @given(saturating_tail_points())
+    @settings(max_examples=200)
+    def test_round_trip_saturating_tail(self, case):
+        phi, w = case
+        assert phi.eval(phi.inverse_eval(w)) == w
 
     def test_round_trip_linear_quadratic_time(self):
         phi = LinearMap(SQRT2)

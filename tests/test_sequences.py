@@ -22,13 +22,14 @@ from lamo import (
 from lamo.errors import (
     EmptyWindow,
     HorizonExceeded,
+    LamoError,
     NotNonDecreasing,
     NotPositive,
     NotSorted,
 )
 
 from gen import mutate_pair
-from oracles import counting_inverse
+from oracles import counting_inverse, scan_grid_witness
 
 
 def seq(vals, tail):
@@ -44,7 +45,29 @@ def sequences_st(draw, max_len=12, max_val=20, kinds=("constant", "infinite")):
         v = draw(st.integers(min_value=lo, max_value=max(lo, max_val)))
         return seq(vals, Tail.constant(v))
     vals = vals + [INF] * draw(st.integers(0, 2))
-    return seq(vals, Tail.infinite())
+    return seq(vals, Tail(kind))
+
+
+@st.composite
+def grid_cases(draw):
+    """(f, g, M, N): an inverse pair, a mutated inverse pair, or two unrelated sequences."""
+    any_tail = sequences_st(kinds=("constant", "infinite", "unknown"))
+    f, g = draw(any_tail), draw(any_tail)
+    pairing = draw(st.sampled_from(("inverse", "mutated", "unrelated")))
+    # An all-zero prefix with an unknown tail has no inverse (EmptyWindow).
+    if pairing != "unrelated" and (f.tail.kind != "unknown" or any(f.prefix)):
+        g = invert(f)
+        if pairing == "mutated":
+            f, g = mutate_pair(f, g, random.Random(draw(st.integers(0, 2**32))))
+    return f, g, draw(st.integers(1, 25)), draw(st.integers(1, 25))
+
+
+def outcome(fn, *args):
+    """What fn returns, or the class of the LamoError it raises."""
+    try:
+        return fn(*args)
+    except LamoError as e:
+        return type(e)
 
 
 class TestValidation:
@@ -78,6 +101,7 @@ class TestValueAt:
         s = seq((1, INF), Tail.unknown())
         assert s.value_at(9) is INF
         assert s.determined_horizon() is INF
+        assert s.tail == Tail.infinite()
 
     def test_index_must_be_positive(self):
         with pytest.raises(NotPositive):
@@ -181,6 +205,28 @@ class TestGrid:
         f = seq((1, 2), Tail.unknown())
         with pytest.raises(HorizonExceeded):
             mutually_inverse_on_window(f, f, 3, 3)
+
+    def test_neither_in_a_later_row(self):
+        f = seq((1, 2, 3), Tail.unknown())
+        g = seq((0, 1, 3), Tail.unknown())
+        assert grid_witness(f, g, 3, 3) == (3, 3, "neither")
+
+    def test_both_in_a_later_row(self):
+        f = seq((1, 2, 3), Tail.unknown())
+        g = seq((0, 1, 1), Tail.unknown())
+        assert grid_witness(f, g, 3, 3) == (2, 3, "both")
+
+    def test_non_monotone_g_rejected(self):
+        f = seq((1, 2, 3), Tail.unknown())
+        with pytest.raises(NotNonDecreasing):
+            grid_witness(f, seq((2, 1), Tail.unknown()), 2, 2)
+        with pytest.raises(NotNonDecreasing):
+            mutually_inverse_on_window(f, seq((2, 1), Tail.unknown()), 3, 3)
+
+    @given(grid_cases())
+    @settings(max_examples=400)
+    def test_matches_pairwise_scan(self, case):
+        assert outcome(grid_witness, *case) == outcome(scan_grid_witness, *case)
 
     @given(sequences_st())
     @settings(max_examples=60)
