@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -198,33 +199,34 @@ def _cmd_simulate(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
     phi = formats.parse_map(text)
     log = runner.simulate(phi, ExactNumber.parse(args.T))
     if collisions := log.collisions():
-        t = collisions[0].time
         code = EXIT_COLLISION
-        summary = {"collision_at": t.literal()} if fmt == "json" else f"collision at t={t}\n"
     else:
         s_x, s_y = runner.recorded_sets(log)
         h = s_x.horizon
         alg_y, alg_x = continuous.corollary_sets(phi, h) if h >= 1 else (IntSet((), 0),) * 2
         agree = s_x == alg_x and s_y == alg_y
         code = EXIT_OK if agree else EXIT_VERDICT
-        if fmt == "json":
-            summary = {
-                "recorded": {"S_X": formats.intset_to_json(s_x), "S_Y": formats.intset_to_json(s_y)},
-                "algebraic": {"S_X": formats.intset_to_json(alg_x), "S_Y": formats.intset_to_json(alg_y)},
-                "agree": agree,
-            }
-        else:
-            summary = (
-                f"recorded S_X: {s_x}\nrecorded S_Y: {s_y}\n"
-                f"algebraic S_X: {alg_x}\nalgebraic S_Y: {alg_y}\n"
-                f"agree: {'yes' if agree else 'NO'}\n"
-            )
-    if fmt == "json":
-        events = [formats.event_to_json(e.time, e.kind, e.count) for e in log.events]
-        return {"events": events, **summary}, code
     if fmt == "csv":
         rows = ([e.time.literal(), e.kind, e.count] for e in log.events)
         return (["t", "kind", "count"], rows), code
+    if collisions:
+        t = collisions[0].time
+        summary = {"collision_at": t.literal()} if fmt == "json" else f"collision at t={t}\n"
+    elif fmt == "json":
+        summary = {
+            "recorded": {"S_X": formats.intset_to_json(s_x), "S_Y": formats.intset_to_json(s_y)},
+            "algebraic": {"S_X": formats.intset_to_json(alg_x), "S_Y": formats.intset_to_json(alg_y)},
+            "agree": agree,
+        }
+    else:
+        summary = (
+            f"recorded S_X: {s_x}\nrecorded S_Y: {s_y}\n"
+            f"algebraic S_X: {alg_x}\nalgebraic S_Y: {alg_y}\n"
+            f"agree: {'yes' if agree else 'NO'}\n"
+        )
+    if fmt == "json":
+        events = [formats.event_to_json(e.time, e.kind, e.count) for e in log.events]
+        return {"events": events, **summary}, code
     return formats.events_to_jsonl(log) + summary, code
 
 
@@ -255,13 +257,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="counting inverse g(n) = |{m : f(m) < n}|")
     p.add_argument("input", help="sequence file, '-' for stdin")
     p.add_argument("--limit", type=int, metavar="N", help="cap on printed sequence terms")
-    p.set_defaults(fn=_cmd_invert)
 
     p = sub.add_parser("hat", parents=[common],
                        help="the set {n + f(n)} on [1, K]")
     p.add_argument("input", help="sequence file")
     p.add_argument("K", type=int, help="window bound")
-    p.set_defaults(fn=_cmd_hat)
 
     p = sub.add_parser("unhat", parents=[common],
                        help="the sequence s_n - n of a set")
@@ -269,7 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, metavar="N", help="cap on printed sequence terms")
     p.add_argument("--complete", action="store_true",
                    help="the set lists every element, not just a window")
-    p.set_defaults(fn=_cmd_unhat)
 
     p = sub.add_parser("check", parents=[common],
                        help="mutual-inverse grid and hat-set complementarity")
@@ -278,40 +277,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("M", type=int, help="grid rows (indices of f)")
     p.add_argument("N", type=int, help="grid columns (indices of g)")
     p.add_argument("K", type=int, help="complementarity window bound")
-    p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("beatty", parents=[common],
                        help="floor((1+lambda)n) and floor((1+1/lambda)n) on [1, K]")
     p.add_argument("lam", metavar="lambda", help="exact slope literal, e.g. '(-1+1*sqrt(5))/2'")
     p.add_argument("K", type=int, help="window bound")
-    p.set_defaults(fn=_cmd_beatty)
 
     p = sub.add_parser("construct-phi", parents=[common],
                        help="a strictly increasing map with floor(phi(n)) = f(n)")
     p.add_argument("input", help="sequence file")
-    p.set_defaults(fn=_cmd_construct_phi)
 
     p = sub.add_parser("simulate", parents=[common],
                        help="exact two-runner event log, cross-checked against the set formulas")
     p.add_argument("map", help="map JSON (file path or inline object)")
     p.add_argument("T", help="time horizon, an exact literal such as '50' or '101/2'")
-    p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("classify", parents=[common],
                        help="bounded / eventually_infinite / window report")
     p.add_argument("input", help="sequence file")
-    p.set_defaults(fn=_cmd_classify)
 
     return parser
 
 
+# Parsing leaves the parser unchanged, so one serves every call in a process.
+_parser = functools.cache(_build_parser)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     fmt = args.format or os.environ.get("LAMO_FORMAT") or "text"
+    # Looked up per call, so that the subcommand is whatever `_cmd_<name>` is now.
+    cmd = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         if fmt not in ("text", "json", "csv"):
             raise ParseError(f"unknown output format {fmt!r}")
-        report, code = args.fn(args, fmt)
+        report, code = cmd(args, fmt)
     except LamoError as e:
         print(f"lamo: {e.__class__.__name__}: {e}", file=sys.stderr)
         return next((c for cls, c in _ERROR_EXITS.items() if isinstance(e, cls)), EXIT_PARSE)

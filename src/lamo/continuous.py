@@ -13,6 +13,14 @@ map with floor(phi(n)) = f(n) whose values at integers are never integers;
 `corollary_sets` produces the pair {floor(phi(n)+n)} and
 {floor(n+phi^-1(n)) : n in Im(phi)} on a window; `beatty_pair` is the
 linear special case.
+
+A linear map takes integer-only routes.  Its pair is Beatty's,
+{floor(n*(1+lambda))} and {floor(n*(1+1/lambda))}, read off
+`ExactNumber.multiple_floors` with one isqrt per term; its lattice
+avoidance is decided in closed form, since lambda*n is an integer only for
+a rational lambda = p/q in lowest terms and then first at n = q.  A
+piecewise map evaluates each term through the map, as the generic
+definitions say.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, takewhile
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -268,9 +277,13 @@ def meeting_count(phi: MonotoneMap, t: Timelike) -> int:
 
 
 def lattice_avoidance(phi: MonotoneMap, N: int) -> Avoidance:
-    """Scan n = 1..N for phi(n) landing exactly on a positive integer."""
+    """The first n in 1..N with phi(n) exactly a positive integer, if any."""
     if not isinstance(N, int) or N < 1:
         raise NotPositive(f"scan bound must be a positive integer, got {N!r}")
+    if isinstance(phi, LinearMap):
+        # p*n/q with gcd(p, q) = 1 is an integer iff q divides n.
+        q = phi.slope.c
+        return Avoidance(N, q) if phi.slope.is_rational and q <= N else Avoidance(N)
     for n in range(1, N + 1):
         if phi.eval(n).is_integer():
             return Avoidance(N, n)
@@ -288,21 +301,14 @@ def corollary_sets(phi: MonotoneMap, K: int) -> tuple[IntSet, IntSet]:
     """
     if not isinstance(K, int) or K < 1:
         raise NotPositive(f"window bound must be a positive integer, got {K!r}")
-    s_y: list[int] = []
-    n = 1
-    while True:
-        v = meeting_count(phi, n)
-        if v > K:
-            break
-        if v >= 1:
-            s_y.append(v)
-        n += 1
-    s_x: list[int] = []
-    for n, t in phi.level_times(0, K):
-        v = (t + n).floor()
-        if v > K:
-            break
-        s_x.append(v)
+    if isinstance(phi, LinearMap):
+        # phi(n) + n = n*(1+lambda), and the crossing n/lambda gives n*(1+1/lambda).
+        lam = phi.slope
+        s_y = (lam + 1).multiple_floors(K)
+        s_x = (lam.reciprocal() + 1).multiple_floors(K)
+    else:
+        s_y = list(takewhile(K.__ge__, (meeting_count(phi, n) for n in count(1))))
+        s_x = list(takewhile(K.__ge__, ((t + n).floor() for n, t in phi.level_times(0, K))))
     return IntSet(tuple(s_y), K), IntSet(tuple(s_x), K)
 
 

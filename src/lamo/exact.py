@@ -14,6 +14,14 @@ than approximating.  Equal values hash equal whatever their representation,
 and rationals hash like the equal int or Fraction.  Every comparison, sign
 and floor is decided by integer arithmetic alone; no floating point is
 consulted anywhere.
+
+Two routes build no intermediate values.  `compare` takes the sign of the
+numerator of x - y, (a1*c2 - a2*c1) + (b1*c2 - b2*c1)*sqrt(d), straight from
+the fields, with the same sign rule as `sign`.  `floor` and
+`multiple_floors`, the floors of n*x for n = 1, 2, .. up to a bound, share
+one integer rule: floor(n*(a + b*sqrt(d))/c) is (a*n + isqrt(b*b*d*n*n)) // c
+for b >= 0 and (a*n - isqrt(b*b*d*n*n) - 1) // c for b < 0, so a Beatty
+sequence costs one isqrt per term and no ExactNumber.
 """
 
 from __future__ import annotations
@@ -22,7 +30,8 @@ import math
 import re
 from fractions import Fraction
 from functools import total_ordering
-from typing import Union
+from itertools import count, takewhile
+from typing import Iterator, Union
 
 from .errors import IncompatibleRadicands, ParseError, ZeroDenominator
 
@@ -40,6 +49,39 @@ def checked_isqrt(v: int) -> int:
 
 def _sign(n: int) -> int:
     return (n > 0) - (n < 0)
+
+
+def _numerator_sign(a: int, b: int, d: int) -> int:
+    """Sign of a + b*sqrt(d), for d non-square whenever b != 0."""
+    if b == 0:
+        return _sign(a)
+    if a == 0:
+        return _sign(b)
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # Opposite signs: compare a*a against b*b*d after isolating the radical.
+    k = a * a - b * b * d
+    return _sign(k) if a > 0 else -_sign(k)
+
+
+def _multiple_floors(a: int, b: int, d: int, c: int) -> Iterator[int]:
+    """floor(n*(a + b*sqrt(d))/c) for n = 1, 2, .., for c >= 1 and d
+    non-square whenever b != 0.
+
+    n*b*sqrt(d) is then irrational, so it lies strictly between s and s+1
+    (resp. -(s+1) and -s) for s = isqrt(b*b*d*n*n); and
+    floor(y/c) = floor(floor(y)/c) for the integer c >= 1.  For b = 0,
+    s = 0 and the term is a*n // c.
+    """
+    bbd = b * b * d
+    if b >= 0:
+        for n in count(1):
+            yield (a * n + math.isqrt(bbd * n * n)) // c
+    else:
+        for n in count(1):
+            yield (a * n - math.isqrt(bbd * n * n) - 1) // c
 
 
 _INT_RE = re.compile(r"([+-]?\d+)")
@@ -148,30 +190,18 @@ class ExactNumber:
 
     # -- ordering -------------------------------------------------------
 
-    def _numerator_sign(self) -> int:
-        # Sign of a + b*sqrt(d); c > 0 never changes it.
-        a, b, d = self._a, self._b, self._d
-        if b == 0:
-            return _sign(a)
-        if a == 0:
-            return _sign(b)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Opposite signs: compare a*a against b*b*d after isolating the radical.
-        k = a * a - b * b * d
-        return _sign(k) if a > 0 else -_sign(k)
-
     def sign(self) -> int:
-        return self._numerator_sign()
+        # c > 0 never changes the sign of the numerator.
+        return _numerator_sign(self._a, self._b, self._d)
 
     def compare(self, other: Coercible) -> int:
         """Exact three-way comparison: -1, 0 or 1."""
         o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare ExactNumber with {other!r}")
-        return (self - o).sign()
+        x, y, d = self._merged_radicand(o)
+        # x - y has the numerator below over x.c*y.c > 0.
+        return _numerator_sign(x._a * y._c - y._a * x._c, x._b * y._c - y._b * x._c, d)
 
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)  # type: ignore[arg-type]
@@ -276,14 +306,17 @@ class ExactNumber:
 
     def floor(self) -> int:
         """The unique integer n with n <= x < n+1, decided exactly."""
-        a, b, c, d = self._a, self._b, self._c, self._d
-        if b == 0:
-            return a // c
-        s = checked_isqrt(b * b * d)
-        # b*sqrt(d) lies strictly between s and s+1 (resp. -(s+1) and -s):
-        # b != 0 forces d non-square, so b*sqrt(d) is irrational.  Then
-        # floor(x/c) = floor(floor(x)/c) for the integer c >= 1.
-        return (a + s) // c if b > 0 else (a - s - 1) // c
+        return next(_multiple_floors(self._a, self._b, self._d, self._c))
+
+    def multiple_floors(self, K: int) -> list[int]:
+        """[floor(x), floor(2x), ..] up to the last value <= K, for x > 0.
+
+        One isqrt per term, on the fields scaled by n: no ExactNumber is
+        built per term.
+        """
+        if self.sign() <= 0:
+            raise ValueError(f"multiple floors need a positive value, got {self}")
+        return list(takewhile(K.__ge__, _multiple_floors(self._a, self._b, self._d, self._c)))
 
     # -- text form --------------------------------------------------------
 

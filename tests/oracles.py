@@ -10,6 +10,12 @@ simulator's former meeting solver, kept as the slow path that the
 closed-form `level_times` streams are checked against; it asks the map only
 for `eval` at integer points.  `scan_grid_witness` is the former window
 check, which tests every pair of the window instead of counting.
+
+Three more are the slow paths that the integer-only routes replaced:
+`scan_lattice_avoidance` evaluates a map at every point of the window,
+`subtract_compare` orders two values by building their difference, and
+`generic_corollary_sets` builds the pair of sets term by term through the
+map, whatever its shape, taking each floor by `bisect_floor`.
 """
 
 from __future__ import annotations
@@ -125,3 +131,42 @@ def bisect_meeting_time(phi, k: int):
     slope = phi.eval(hi) - y_lo
     # On [lo, hi]: phi(t) + t = y_lo + lo + (t - lo)(slope + 1).
     return lo + (k - (y_lo + lo)) / (slope + 1)
+
+
+def scan_lattice_avoidance(phi, N: int):
+    """The first n in 1..N with phi(n) an integer, or None; evaluates every n."""
+    for n in range(1, N + 1):
+        if phi.eval(n).is_integer():
+            return n
+    return None
+
+
+def subtract_compare(x, y) -> int:
+    """Sign of x - y, with x - y built by exact arithmetic and its sign
+    decided by squaring."""
+    z = x - y
+    return _sign_with_root(z.a, z.b, z.d)
+
+
+def generic_corollary_sets(phi, K: int) -> tuple[list[int], list[int]]:
+    """(S_Y, S_X) on [1, K]: floor(phi(n) + n) for n = 1, 2, .., and
+    floor(t + n) at each crossing (n, t) of `level_times(0, K)`.
+
+    Both runs increase strictly, so each stops at its first value past K.
+    """
+
+    def floor(x) -> int:
+        return bisect_floor(x.a, x.b, x.d, x.c)
+
+    s_y = []
+    n = 1
+    while (v := floor(phi.eval(n) + n)) <= K:
+        s_y.append(v)
+        n += 1
+    s_x = []
+    for n, t in phi.level_times(0, K):
+        v = floor(t + n)
+        if v > K:
+            break
+        s_x.append(v)
+    return s_y, s_x

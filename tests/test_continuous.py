@@ -1,9 +1,10 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lamo import (
     INF,
@@ -33,11 +34,32 @@ from lamo.errors import (
 from lamo.exact import ExactNumber
 
 from gen import random_rational_map, random_sequence
-from oracles import wythoff_pair
+from oracles import generic_corollary_sets, scan_lattice_avoidance, wythoff_pair
 
 GOLDEN = ExactNumber(-1, 1, 5, 2)
 SQRT2 = ExactNumber.sqrt(2)
 SAT3 = construct_phi(NumberSequence((1, 1, 2), Tail.constant(2)))
+
+@st.composite
+def linear_slopes(draw, max_q=600):
+    """A positive exact slope: quadratic with either sign of a and b and a
+    radicand up to 10**6, one with a square factor m*m, or a rational p/q."""
+    kind = draw(st.sampled_from(("quadratic", "square_factor", "rational")))
+    if kind == "rational":
+        return ExactNumber(draw(st.integers(1, 3 * max_q)), 0, 0, draw(st.integers(1, max_q)))
+    b = draw(st.integers(-60, 60).filter(bool))
+    if kind == "quadratic":
+        d = draw(st.integers(2, 10**6))
+    else:
+        d = draw(st.integers(2, 1000)) ** 2 * draw(st.integers(2, 1000))
+    # |b|*sqrt(d) exceeds r, so a >= -r keeps b > 0 positive and a > r keeps
+    # b < 0 positive, while a < 0 stays possible for b > 0.
+    r = math.isqrt(b * b * d)
+    a = draw(st.integers(-r, 60) if b > 0 else st.integers(r + 1, r + 60))
+    x = ExactNumber(a, b, d, draw(st.integers(1, 60)))
+    assume(x.sign() > 0)
+    return x
+
 
 times = st.fractions(min_value=Fraction(1, 200), max_value=60, max_denominator=200)
 map_seeds = st.integers(0, 2**32)
@@ -155,6 +177,20 @@ class TestLatticeAvoidance:
         f = NumberSequence((0, 3, 3, 7), Tail.unknown())
         assert lattice_avoidance(construct_phi(f), len(f.prefix)).holds
 
+    @given(linear_slopes(max_q=400), st.integers(1, 300))
+    @settings(max_examples=200)
+    def test_linear_matches_scan(self, lam, N):
+        # Rational denominators run past N, so both q <= N and q > N occur.
+        av = lattice_avoidance(LinearMap(lam), N)
+        assert av.checked_through == N
+        assert av.violation == scan_lattice_avoidance(LinearMap(lam), N)
+
+    @given(map_seeds, st.integers(1, 40))
+    @settings(max_examples=60)
+    def test_piecewise_matches_scan(self, seed, N):
+        phi = random_rational_map(random.Random(seed))
+        assert lattice_avoidance(phi, N).violation == scan_lattice_avoidance(phi, N)
+
 
 class TestCorollarySets:
     def test_rational_failure_case(self):
@@ -182,6 +218,25 @@ class TestCorollarySets:
             return
         s_y, s_x = corollary_sets(phi, K)
         assert check_complementary(s_y, s_x, K).ok
+
+    @given(linear_slopes(), st.integers(1, 300))
+    @settings(max_examples=150)
+    def test_linear_matches_generic_route(self, lam, K):
+        s_y, s_x = corollary_sets(LinearMap(lam), K)
+        assert (s_y.horizon, s_x.horizon) == (K, K)
+        assert (list(s_y.elements), list(s_x.elements)) == generic_corollary_sets(LinearMap(lam), K)
+
+    @given(map_seeds, st.integers(1, 40))
+    @settings(max_examples=60)
+    def test_piecewise_matches_generic_route(self, seed, K):
+        phi = random_rational_map(random.Random(seed))
+        s_y, s_x = corollary_sets(phi, K)
+        assert (list(s_y.elements), list(s_x.elements)) == generic_corollary_sets(phi, K)
+
+    def test_square_factor_slope_gives_same_sets(self):
+        assert corollary_sets(LinearMap(ExactNumber.sqrt(8)), 500) == corollary_sets(
+            LinearMap(ExactNumber(0, 2, 2)), 500
+        )
 
     def test_violation_breaks_partition_nearby(self):
         phi = LinearMap(Fraction(2, 3))
@@ -296,6 +351,27 @@ class TestBeatty:
             beatty_pair(ExactNumber(-1), 5)
         with pytest.raises(NonPositiveSlope):
             LinearMap(0)
+
+    @pytest.mark.parametrize(
+        "lam", [GOLDEN, ExactNumber.sqrt(8), ExactNumber(2, 0, 0, 3), ExactNumber(1, 2, 7, 3)]
+    )
+    def test_constructions_do_not_grow_with_K(self, lam, monkeypatch):
+        # The pair is read off integer floors: no ExactNumber per term.
+        built = 0
+        init = ExactNumber.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExactNumber, "__init__", counting_init)
+        per_K = []
+        for K in (100, 10_000):
+            built = 0
+            beatty_pair(lam, K)
+            per_K.append(built)
+        assert per_K[0] == per_K[1]
 
     @pytest.mark.parametrize("lam", [GOLDEN, SQRT2, ExactNumber(2, 0, 0, 3), ExactNumber(7)])
     def test_reciprocal_density_identity(self, lam):

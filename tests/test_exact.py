@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from lamo.errors import IncompatibleRadicands, ParseError, ZeroDenominator
 from lamo.exact import ExactNumber, checked_isqrt
 
-from oracles import bisect_floor, decimal_floor
+from oracles import bisect_floor, decimal_floor, subtract_compare
 
 GOLDEN = ExactNumber(-1, 1, 5, 2)
 SQRT2 = ExactNumber.sqrt(2)
@@ -149,6 +149,55 @@ class TestCompare:
         x, y = (ExactNumber(a, b, d, c) for a, b, c in (p, q))
         if x <= y and y <= x:
             assert x == y
+
+
+@st.composite
+def comparable_pairs(draw):
+    """(x, y) on one radicand up to 10**6 or on d and m*m*d, with y possibly
+    rational, an int or a Fraction."""
+    d = draw(st.integers(2, 10**6))
+    x = ExactNumber(draw(small_int), draw(small_int), d, draw(st.integers(1, 1000)))
+    kind = draw(st.sampled_from(("same", "square_factor", "rational", "int", "fraction")))
+    if kind == "int":
+        y = draw(small_int)
+    elif kind == "fraction":
+        y = Fraction(draw(small_int), draw(st.integers(1, 1000)))
+    else:
+        m = draw(st.integers(2, 1000)) if kind == "square_factor" else 1
+        b = 0 if kind == "rational" else draw(small_int)
+        y = ExactNumber(draw(small_int), b, m * m * d, draw(st.integers(1, 1000)))
+    return (x, y) if draw(st.booleans()) else (y, x)
+
+
+class TestCompareOracle:
+    @given(comparable_pairs())
+    def test_matches_subtraction(self, pair):
+        x, y = pair
+        sign = subtract_compare(x, y)
+        if isinstance(x, ExactNumber):
+            assert x.compare(y) == sign
+        if isinstance(y, ExactNumber):
+            assert y.compare(x) == -sign
+        assert (x == y) == (sign == 0) and (y == x) == (sign == 0)
+        assert (x < y) == (sign < 0) and (y < x) == (sign > 0)
+
+    def test_near_ties(self):
+        # 1393/985 < sqrt(2) < 3363/2378, each within 10**-6 of sqrt(2).
+        assert SQRT2.compare(Fraction(1393, 985)) == 1
+        assert SQRT2.compare(Fraction(3363, 2378)) == -1
+        assert ExactNumber.sqrt(8).compare(ExactNumber(0, 2, 2)) == 0
+
+    @given(st.integers(2, 10**6), st.integers(2, 10**6), small_int, small_int)
+    def test_incompatible_radicands(self, d1, d2, b1, b2):
+        s = checked_isqrt(d1 * d2)
+        x, y = ExactNumber(0, b1 or 1, d1), ExactNumber(0, b2 or 1, d2)
+        if s * s == d1 * d2 or x.is_rational or y.is_rational:
+            return
+        with pytest.raises(IncompatibleRadicands):
+            x.compare(y)
+        with pytest.raises(IncompatibleRadicands):
+            x < y
+        assert x != y and not (x == y)
 
 
 class TestFloor:

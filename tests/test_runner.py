@@ -152,6 +152,17 @@ class TestSimulate:
         alg_y, alg_x = corollary_sets(phi, s_x.horizon)
         assert (s_x, s_y) == (alg_x, alg_y)
 
+    def test_independent_of_beatty_floors(self, monkeypatch):
+        # The recorded sets check the map route, so simulate must not take it.
+        phi = LinearMap(SQRT2)
+        expected = recorded_sets(simulate(phi, 40))
+
+        def unavailable(self, K):
+            raise AssertionError("simulate read the Beatty floors")
+
+        monkeypatch.setattr(ExactNumber, "multiple_floors", unavailable)
+        assert recorded_sets(simulate(phi, 40)) == expected
+
     def test_empty_log(self):
         log = simulate(LinearMap(SQRT2), Fraction(1, 3))
         assert len(log) == 0
