@@ -145,8 +145,6 @@ class ExactNumber:
 
     @classmethod
     def rational(cls, p: int, r: int = 1) -> ExactNumber:
-        if r == 0:
-            raise ZeroDenominator("rational with denominator zero")
         return cls(p, 0, 0, r)
 
     @classmethod
@@ -166,7 +164,7 @@ class ExactNumber:
         if isinstance(x, int):
             return ExactNumber(x)
         if isinstance(x, Fraction):
-            return ExactNumber(x.numerator, 0, 0, x.denominator)
+            return ExactNumber.from_fraction(x)
         return None
 
     # -- predicates -----------------------------------------------------

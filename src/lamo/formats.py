@@ -1,11 +1,16 @@
 """Text and JSON forms for sequences, integer sets, maps and event logs.
 
-Sequence text: one term per line (decimal integer or `inf`), then a
-directive line `#tail constant <v>` | `#tail infinite` | `#tail unknown`.
-Set text: one element per line, then `#horizon <K>`.  Lines starting with
-`#` that are not directives are comments; blank lines are ignored.  The
-JSON forms mirror the same data; numbers that must stay exact travel as
-literal strings like `(-1+1*sqrt(5))/2`, never as floats.
+Both text forms share one grammar: one token per line, then at most one
+directive line, after which only comments and blank lines may follow.  A
+sequence file holds terms (decimal integers or `inf`) and
+`#tail constant <v>` | `#tail infinite` | `#tail unknown` (unknown when
+absent); a set file holds elements and `#horizon <K>` (the last element
+when absent).  Other lines starting with `#` are comments, and blank lines
+are ignored.  The JSON forms mirror the same data; numbers that must stay
+exact travel as literal strings like `(-1+1*sqrt(5))/2`, never as floats.
+The decoders only convert: the rules on terms, tails and elements belong
+to `NumberSequence`, `Tail` and `IntSet`, and a value they reject is
+reported with its line (text) or its term index (JSON).
 """
 
 from __future__ import annotations
@@ -13,13 +18,13 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .continuous import LinearMap, MonotoneMap, PiecewiseMap
 from .errors import HorizonExceeded, ParseError
 from .exact import ExactNumber
 from .runner import EventLog
-from .sequences import INF, ExtNat, IntSet, NumberSequence, Tail
+from .sequences import INF, IntSet, NumberSequence, Tail, is_extnat
 
 
 def _rational_literal(text: Union[str, int], what: str) -> Fraction:
@@ -35,55 +40,98 @@ def _rational_literal(text: Union[str, int], what: str) -> Fraction:
     return v.as_fraction()
 
 
+def _json(text: str, what: str = "JSON") -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"bad {what}: {e}") from None
+
+
+def _decode(text: str, from_json: Callable[[Any], Any], from_text: Callable[[str], Any]) -> Any:
+    """Either form of a file, sniffed from its first non-blank character."""
+    if text.lstrip().startswith("{"):
+        return from_json(_json(text))
+    return from_text(text)
+
+
+def _scan(
+    text: str, directive: str
+) -> tuple[list[str], Callable[[int], int], Optional[list[str]]]:
+    """The data lines of a text file, the line number of each, and the
+    arguments of its directive (None when it has none).
+
+    `line(i)` is the line of data line i, and `line(len(tokens))` that of
+    the directive.  Only the blank and comment lines are recorded, so the
+    numbers cost no memory on a file without them.
+    """
+    tokens: list[str] = []
+    skipped: list[int] = []  # how many data lines precede each blank or comment line
+    args: Optional[list[str]] = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] == "#" and not line.startswith(directive):
+            if args is None:
+                skipped.append(len(tokens))
+        elif args is not None:
+            what = "duplicate" if line[0] == "#" else f"{line!r} after the"
+            raise ParseError(f"line {lineno}: {what} {directive} directive")
+        elif line[0] == "#":
+            args = line.split()[1:]
+        else:
+            tokens.append(line)
+    return tokens, lambda i: i + 1 + bisect_right(skipped, i), args
+
+
+def _ints(tokens: list[Any], line: Callable[[int], int], inf: bool = False) -> list[Any]:
+    """The tokens, converted in place to ints, and `inf` to INF when allowed.
+
+    In place, so that each string is freed as its value replaces it.
+    """
+    try:
+        for i, t in enumerate(tokens):
+            tokens[i] = INF if inf and t == "inf" else int(t)
+    except ValueError:
+        what = "an integer or 'inf'" if inf else "an integer"
+        raise ParseError(f"line {line(i)}: expected {what}, got {tokens[i]!r}") from None
+    return tokens
+
+
 # -- sequences ------------------------------------------------------------
 
 
-def _parse_term(token: str, lineno: int) -> ExtNat:
-    if token == "inf":
-        return INF
+def _sequence(
+    terms: list[Any], kind: Any, value: Any, line: Optional[Callable[[int], int]] = None
+) -> NumberSequence:
+    """The sequence, with a term or tail its types reject reported as bad input.
+
+    The text form gives `line` from `_scan`; the JSON form names a term by
+    its index.
+    """
     try:
-        v = int(token)
-    except ValueError:
-        raise ParseError(f"line {lineno}: expected an integer or 'inf', got {token!r}") from None
-    if v < 0:
-        raise ParseError(f"line {lineno}: sequence values must be >= 0, got {v}")
-    return v
+        return NumberSequence(terms, Tail(kind, value))
+    except ValueError as e:
+        i = next((i for i, v in enumerate(terms) if not is_extnat(v)), None)
+        if i is None:
+            where = f"line {line(len(terms))}: " if line else ""
+            raise ParseError(f"{where}{e}") from None
+        where = f"line {line(i)}" if line else f"term {i + 1}"
+        raise ParseError(
+            f"{where}: expected a non-negative integer or 'inf', got {terms[i]!r}"
+        ) from None
 
 
 def parse_sequence_text(text: str) -> NumberSequence:
-    terms: list[ExtNat] = []
-    tail: Tail | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#tail"):
-            if tail is not None:
-                raise ParseError(f"line {lineno}: duplicate #tail directive")
-            parts = line.split()
-            if len(parts) >= 2 and parts[1] == "constant":
-                if len(parts) != 3:
-                    raise ParseError(f"line {lineno}: expected '#tail constant <v>'")
-                try:
-                    v = int(parts[2])
-                except ValueError:
-                    raise ParseError(f"line {lineno}: bad constant value {parts[2]!r}") from None
-                if v < 0:
-                    raise ParseError(f"line {lineno}: constant tail value must be >= 0, got {v}")
-                tail = Tail.constant(v)
-            elif parts[1:] == ["infinite"]:
-                tail = Tail.infinite()
-            elif parts[1:] == ["unknown"]:
-                tail = Tail.unknown()
-            else:
-                raise ParseError(f"line {lineno}: bad tail directive {line!r}")
-            continue
-        if line.startswith("#"):
-            continue
-        if tail is not None:
-            raise ParseError(f"line {lineno}: term after the #tail directive")
-        terms.append(_parse_term(line, lineno))
-    return NumberSequence(terms, tail if tail is not None else Tail.unknown())
+    tokens, line, args = _scan(text, "#tail")
+    terms = _ints(tokens, line, inf=True)
+    kind, value = "unknown", None
+    if args is not None:
+        n = line(len(terms))
+        if not 1 <= len(args) <= 2:
+            raise ParseError(f"line {n}: expected '#tail <kind> [<value>]'")
+        kind = args[0]
+        if len(args) == 2:
+            (value,) = _ints(args[1:], lambda _: n)
+    return _sequence(terms, kind, value, line)
 
 
 def render_sequence_text(s: NumberSequence) -> str:
@@ -103,88 +151,46 @@ def sequence_to_json(s: NumberSequence) -> dict[str, Any]:
 def sequence_from_json(obj: Any) -> NumberSequence:
     if not isinstance(obj, dict):
         raise ParseError("sequence JSON must be an object")
-    terms_raw = obj.get("terms")
-    if not isinstance(terms_raw, list):
+    terms = obj.get("terms")
+    if not isinstance(terms, list):
         raise ParseError("sequence JSON needs a 'terms' array")
-    terms: list[ExtNat] = []
-    for i, t in enumerate(terms_raw, start=1):
-        if t == "inf":
-            terms.append(INF)
-        elif isinstance(t, int) and not isinstance(t, bool) and t >= 0:
-            terms.append(t)
-        else:
-            raise ParseError(f"term {i}: expected a non-negative integer or 'inf', got {t!r}")
-    tail_raw = obj.get("tail", {"kind": "unknown"})
-    if not isinstance(tail_raw, dict) or "kind" not in tail_raw:
+    tail = obj.get("tail", {"kind": "unknown"})
+    if not isinstance(tail, dict) or "kind" not in tail:
         raise ParseError("sequence JSON 'tail' must be an object with a 'kind'")
-    kind = tail_raw["kind"]
-    if kind == "constant":
-        v = tail_raw.get("value")
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ParseError(f"constant tail needs a non-negative integer 'value', got {v!r}")
-        tail = Tail.constant(v)
-    elif kind == "infinite":
-        tail = Tail.infinite()
-    elif kind == "unknown":
-        tail = Tail.unknown()
-    else:
-        raise ParseError(f"unknown tail kind {kind!r}")
-    return NumberSequence(terms, tail)
+    return _sequence([INF if t == "inf" else t for t in terms], tail["kind"], tail.get("value"))
 
 
 def parse_sequence(text: str) -> NumberSequence:
     """Sequence from either the text or the JSON form, sniffed from the input."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"bad JSON: {e}") from None
-        return sequence_from_json(obj)
-    return parse_sequence_text(text)
+    return _decode(text, sequence_from_json, parse_sequence_text)
 
 
 # -- integer sets ---------------------------------------------------------
 
 
-def _intset(elements: list[int], horizon: int, lines: Optional[list[int]] = None) -> IntSet:
+def _intset(
+    elements: list[int], horizon: int, line: Optional[Callable[[int], int]] = None
+) -> IntSet:
     """The set, with an element past the file's own horizon reported as bad input."""
     try:
         return IntSet(tuple(elements), horizon)
     except HorizonExceeded:
         # IntSet checked the order first, so the elements are sorted here.
         i = bisect_right(elements, horizon)
-        where = f"line {lines[i]}: " if lines else ""
+        where = f"line {line(i)}: " if line else ""
         raise ParseError(f"{where}element {elements[i]} lies beyond the horizon {horizon}") from None
 
 
 def parse_intset_text(text: str) -> IntSet:
-    elements: list[int] = []
-    lines: list[int] = []
-    horizon: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#horizon"):
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected '#horizon <K>'")
-            try:
-                horizon = int(parts[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad horizon {parts[1]!r}") from None
-            continue
-        if line.startswith("#"):
-            continue
-        try:
-            elements.append(int(line))
-        except ValueError:
-            raise ParseError(f"line {lineno}: expected an integer, got {line!r}") from None
-        lines.append(lineno)
-    if horizon is None:
-        horizon = elements[-1] if elements else 0
-    return _intset(elements, horizon, lines)
+    tokens, line, args = _scan(text, "#horizon")
+    elements = _ints(tokens, line)
+    horizon = elements[-1] if elements else 0
+    if args is not None:
+        n = line(len(elements))
+        if len(args) != 1:
+            raise ParseError(f"line {n}: expected '#horizon <K>'")
+        (horizon,) = _ints(args, lambda _: n)
+    return _intset(elements, horizon, line)
 
 
 def render_intset_text(s: IntSet) -> str:
@@ -212,14 +218,8 @@ def intset_from_json(obj: Any) -> IntSet:
 
 
 def parse_intset(text: str) -> IntSet:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"bad JSON: {e}") from None
-        return intset_from_json(obj)
-    return parse_intset_text(text)
+    """Set from either the text or the JSON form, sniffed from the input."""
+    return _decode(text, intset_from_json, parse_intset_text)
 
 
 # -- maps -----------------------------------------------------------------
@@ -273,11 +273,7 @@ def map_from_json(obj: Any) -> MonotoneMap:
 
 
 def parse_map(text: str) -> MonotoneMap:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad map JSON: {e}") from None
-    return map_from_json(obj)
+    return map_from_json(_json(text, "map JSON"))
 
 
 # -- event logs -----------------------------------------------------------

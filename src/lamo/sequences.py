@@ -53,9 +53,11 @@ class Tail:
             raise ValueError(f"unknown tail kind {self.kind!r}")
         if self.kind == "constant":
             if not isinstance(self.value, int) or isinstance(self.value, bool) or self.value < 0:
-                raise ValueError("constant tail needs a non-negative integer value")
+                raise ValueError(
+                    f"constant tail needs a non-negative integer value, got {self.value!r}"
+                )
         elif self.value is not None:
-            raise ValueError(f"{self.kind} tail carries no value")
+            raise ValueError(f"{self.kind} tail carries no value, got {self.value!r}")
 
     @classmethod
     def unknown(cls) -> Tail:
@@ -184,12 +186,6 @@ class IntSet:
             raise HorizonExceeded(
                 f"element {self.elements[-1]} lies beyond the horizon {self.horizon}"
             )
-
-    def contains(self, i: int) -> bool:
-        if i > self.horizon:
-            raise HorizonExceeded(f"membership of {i} undetermined beyond horizon {self.horizon}")
-        k = bisect_left(self.elements, i)
-        return k < len(self.elements) and self.elements[k] == i
 
     def __str__(self) -> str:
         inner = ", ".join(str(e) for e in self.elements)

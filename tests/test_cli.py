@@ -73,6 +73,17 @@ class TestInvert:
         code, _, err = run(capsys, "invert", "/nonexistent/f.txt")
         assert code == 2 and "cannot read" in err
 
+    def test_negative_limit_exits_2(self, tmp_path, capsys):
+        f = write(tmp_path, "f.txt", SQUARES)
+        code, out, err = run(capsys, "invert", f, "--limit", "-1")
+        assert code == 2 and out == "" and "--limit must be >= 0" in err
+
+    def test_json_unknown_tail_with_a_value_exits_2(self, tmp_path, capsys):
+        f = write(tmp_path, "f.json", '{"terms":[1,2],"tail":{"kind":"unknown","value":3}}')
+        code, out, err = run(capsys, "invert", f)
+        assert code == 2 and out == ""
+        assert err == "lamo: ParseError: unknown tail carries no value, got 3\n"
+
     def test_negative_constant_tail_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1\n2\n#tail constant -3\n"))
         code, _, err = run(capsys, "invert", "-")
@@ -131,6 +142,18 @@ class TestHatUnhat:
         code, _, err = run(capsys, "unhat", "-")
         assert code == 2
         assert err == "lamo: ParseError: line 3: element 5 lies beyond the horizon 3\n"
+
+    def test_unhat_element_after_horizon_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1\n2\n#horizon 9\n5\n"))
+        code, out, err = run(capsys, "unhat", "-")
+        assert code == 2 and out == ""
+        assert err == "lamo: ParseError: line 4: '5' after the #horizon directive\n"
+
+    def test_unhat_second_horizon_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1\n2\n#horizon 5\n#horizon 9\n"))
+        code, out, err = run(capsys, "unhat", "-")
+        assert code == 2 and out == ""
+        assert err == "lamo: ParseError: line 4: duplicate #horizon directive\n"
 
     def test_unhat_json_element_beyond_own_horizon_exits_2(self, tmp_path, capsys):
         setfile = write(tmp_path, "set.json", '{"elements":[1,2,5,7],"horizon":3}')
@@ -285,6 +308,12 @@ class TestGlobalFlags:
         code, out, _ = run(capsys, "hat", f, "100", "--output", str(dest))
         assert code == 0 and out == ""
         assert dest.read_text() == "1\n2\n4\n8\n#horizon 100\n"
+
+    def test_output_to_a_directory_exits_2(self, tmp_path, capsys):
+        f = write(tmp_path, "f.txt", HATIN)
+        code, out, err = run(capsys, "hat", f, "100", "--output", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"lamo: cannot write {tmp_path}: ")
 
     def test_json_output_reparses_identically(self, tmp_path, capsys):
         f = write(tmp_path, "f.txt", SQUARES)

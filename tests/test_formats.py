@@ -70,10 +70,38 @@ class TestSequenceText:
         with pytest.raises(ParseError, match="line 3"):
             parse_sequence_text("1\n2\n#tail constant -3\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("0\n# note\n\n-1\n#tail unknown\n", 4),
+            ("0\n1\n2.5\n", 3),
+            ("0\n-1\n#tail constant -1\n", 2),
+            ("1\n\n#tail constant x\n", 3),
+            ("1\n#tail constant\n", 2),
+            ("1\n#tail constant 3 4\n", 2),
+            ("1\n#tail infinite 3\n", 2),
+            ("1\n#tail\n", 2),
+            ("1\n#tail sometimes\n", 2),
+            ("1\n#tail unknown\n# fine\n2\n", 4),
+            ("1\n# note\n#tail constant -1\n\n# after\n", 3),
+        ],
+    )
+    def test_each_error_names_its_line(self, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            parse_sequence_text(text)
+
 
 class TestSequenceJson:
-    def test_round_trip(self):
-        s = NumberSequence((0, 2, INF), Tail.infinite())
+    @pytest.mark.parametrize(
+        "s",
+        [
+            NumberSequence((0, 2, INF), Tail.infinite()),
+            NumberSequence((0, 2, 5), Tail.constant(7)),
+            NumberSequence((1, 1), Tail.unknown()),
+        ],
+        ids=["infinite", "constant", "unknown"],
+    )
+    def test_round_trip(self, s):
         assert sequence_from_json(sequence_to_json(s)) == s
 
     def test_constant_tail_value(self):
@@ -105,6 +133,16 @@ class TestSequenceJson:
         with pytest.raises(ParseError, match="bad JSON"):
             parse_sequence("{not json")
 
+    @pytest.mark.parametrize("term", [1.5, True, -1, "x", None, [2]])
+    def test_bad_term_names_its_index(self, term):
+        with pytest.raises(ParseError, match="^term 2: "):
+            sequence_from_json({"terms": [0, term, 4], "tail": {"kind": "weird"}})
+
+    @pytest.mark.parametrize("kind", ["unknown", "infinite"])
+    def test_tail_without_a_value_rejects_one(self, kind):
+        with pytest.raises(ParseError, match="carries no value, got 3"):
+            sequence_from_json({"terms": [1], "tail": {"kind": kind, "value": 3}})
+
 
 class TestIntSetForms:
     def test_text_round_trip(self):
@@ -119,6 +157,21 @@ class TestIntSetForms:
     def test_default_horizon_is_last_element(self):
         assert parse_intset("1\n5\n").horizon == 5
         assert parse_intset("").horizon == 0
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("1\nx\n", 2),
+            ("1\n#horizon x\n", 2),
+            ("1\n#horizon\n", 2),
+            ("1\n#horizon 9\n7\n", 3),
+            ("1\n#horizon 5\n# fine\n#horizon 9\n", 4),
+            ("# note\n1\n\n2\n5\n#horizon 3\n", 5),
+        ],
+    )
+    def test_text_error_names_its_line(self, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            parse_intset(text)
 
     def test_malformed(self):
         with pytest.raises(ParseError):
