@@ -19,8 +19,9 @@ A linear map takes integer-only routes.  Its pair is Beatty's,
 `ExactNumber.multiple_floors` with one isqrt per term; its lattice
 avoidance is decided in closed form, since lambda*n is an integer only for
 a rational lambda = p/q in lowest terms and then first at n = q.  A
-piecewise map evaluates each term through the map, as the generic
-definitions say.
+piecewise map reads S_Y off its anchors, phi(n) + n = anchor(n) + n, and
+S_X off its crossing times; its level times take one Fraction step per
+piece and integer arithmetic per time.
 """
 
 from __future__ import annotations
@@ -127,9 +128,10 @@ class LinearMap(MonotoneMap):
     def level_times(self, shift: int, until: Timelike) -> Iterator[tuple[int, ExactNumber]]:
         rate = self.slope + shift
         step = rate.reciprocal()
+        a, b, d, c = step.a, step.b, step.d, step.c
         # k/rate <= until iff k <= floor(rate*until), so one floor bounds the stream.
         for k in range(1, (rate * _exact(until)).floor() + 1):
-            yield k, step * k
+            yield k, ExactNumber._new(a * k, b * k, d, c)
 
     def image_sup(self) -> Optional[ExactNumber]:
         return None
@@ -238,9 +240,14 @@ class PiecewiseMap(MonotoneMap):
             if shift == 0 and self.limit is not None and first >= self.limit:
                 return
             hi = self.anchor(j) + shift * j
-            top = math.floor(hi) if j < last else (lo + (end - (j - 1)) * (hi - lo)).floor()
+            width = hi - lo
+            top = math.floor(hi) if j < last else (lo + (end - (j - 1)) * width).floor()
+            # t = (j-1) + (k - lo)/width = ((j-1)*w + (k*ld - ln)*wd)/w with
+            # lo = ln/ld, width = wn/wd and w = ld*wn > 0.
+            ln, ld, wd = lo.numerator, lo.denominator, width.denominator
+            w = ld * width.numerator
             for k in range(first, top + 1):
-                yield k, ExactNumber.from_fraction((j - 1) + (k - lo) / (hi - lo))
+                yield k, ExactNumber._new((j - 1) * w + (k * ld - ln) * wd, 0, 0, w)
             lo = hi
 
     def image_sup(self) -> Optional[ExactNumber]:
@@ -307,8 +314,9 @@ def corollary_sets(phi: MonotoneMap, K: int) -> tuple[IntSet, IntSet]:
         s_y = (lam + 1).multiple_floors(K)
         s_x = (lam.reciprocal() + 1).multiple_floors(K)
     else:
-        s_y = list(takewhile(K.__ge__, (meeting_count(phi, n) for n in count(1))))
-        s_x = list(takewhile(K.__ge__, ((t + n).floor() for n, t in phi.level_times(0, K))))
+        # phi(n) is the anchor at n, and floor(t + n) = floor(t) + n.
+        s_y = list(takewhile(K.__ge__, (math.floor(phi.anchor(n)) + n for n in count(1))))
+        s_x = list(takewhile(K.__ge__, (t.floor() + n for n, t in phi.level_times(0, K))))
     return IntSet(tuple(s_y), K), IntSet(tuple(s_x), K)
 
 

@@ -21,7 +21,18 @@ the fields, with the same sign rule as `sign`.  `floor` and
 `multiple_floors`, the floors of n*x for n = 1, 2, .. up to a bound, share
 one integer rule: floor(n*(a + b*sqrt(d))/c) is (a*n + isqrt(b*b*d*n*n)) // c
 for b >= 0 and (a*n - isqrt(b*b*d*n*n) - 1) // c for b < 0, so a Beatty
-sequence costs one isqrt per term and no ExactNumber.
+sequence costs one isqrt per term and no ExactNumber.  `floor(scale)` is
+the first term of that rule on the fields scaled by `scale`, so
+floor(scale*x) too costs one isqrt and no ExactNumber.
+
+Results whose fields are already in range go through the internal
+constructor `ExactNumber._new(a, b, d, c)`: it takes c >= 1 and a radicand
+known to be non-square whenever b != 0, keeps the gcd reduction, and skips the
+type checks and the perfect-square test of `ExactNumber(...)`.  Arithmetic
+and the closed-form level times build through it.  The form is canonical,
+so `==` on two values over the same radicand, or with either rational, is
+equality of the fields; only compatible but differently written radicands,
+such as sqrt(2) and sqrt(8), go through `compare`.
 """
 
 from __future__ import annotations
@@ -123,6 +134,23 @@ class ExactNumber:
         self._c = c
         self._d = d
 
+    @classmethod
+    def _new(cls, a: int, b: int, d: int, c: int) -> ExactNumber:
+        """(a + b*sqrt(d))/c for ints with c >= 1 and d non-square whenever b != 0.
+
+        The caller vouches for the field types, the sign of c and the
+        radicand; only the gcd reduction is done here.
+        """
+        g = math.gcd(a, b, c)
+        if g > 1:
+            a, b, c = a // g, b // g, c // g
+        x = object.__new__(cls)
+        x._a = a
+        x._b = b
+        x._c = c
+        x._d = d if b else 0
+        return x
+
     # -- field access ---------------------------------------------------
 
     @property
@@ -194,7 +222,7 @@ class ExactNumber:
 
     def compare(self, other: Coercible) -> int:
         """Exact three-way comparison: -1, 0 or 1."""
-        o = self._coerce(other)
+        o = other if isinstance(other, ExactNumber) else self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare ExactNumber with {other!r}")
         x, y, d = self._merged_radicand(o)
@@ -202,9 +230,12 @@ class ExactNumber:
         return _numerator_sign(x._a * y._c - y._a * x._c, x._b * y._c - y._b * x._c, d)
 
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)  # type: ignore[arg-type]
+        o = other if isinstance(other, ExactNumber) else self._coerce(other)  # type: ignore
         if o is None:
             return NotImplemented
+        if self._d == o._d or self._b == 0 or o._b == 0:
+            # One radicand: the canonical fields are equal iff the reals are.
+            return self._a == o._a and self._b == o._b and self._c == o._c
         try:
             return self.compare(o) == 0
         except IncompatibleRadicands:
@@ -212,7 +243,7 @@ class ExactNumber:
             return False
 
     def __lt__(self, other: Coercible) -> bool:
-        o = self._coerce(other)
+        o = other if isinstance(other, ExactNumber) else self._coerce(other)
         if o is None:
             return NotImplemented
         return self.compare(o) < 0
@@ -237,21 +268,23 @@ class ExactNumber:
             raise IncompatibleRadicands(f"cannot combine sqrt({d1}) with sqrt({d2})")
         # sqrt(d2) = s*sqrt(d1)/d1: rescale the larger radicand onto the smaller.
         if d1 < d2:
-            return self, ExactNumber(other._a * d1, other._b * s, d1, other._c * d1), d1
-        return ExactNumber(self._a * d2, self._b * s, d2, self._c * d2), other, d2
+            return self, ExactNumber._new(other._a * d1, other._b * s, d1, other._c * d1), d1
+        return ExactNumber._new(self._a * d2, self._b * s, d2, self._c * d2), other, d2
 
     def __add__(self, other: Coercible) -> ExactNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         x, y, d = self._merged_radicand(o)
-        return ExactNumber(x._a * y._c + y._a * x._c, x._b * y._c + y._b * x._c, d, x._c * y._c)
+        return ExactNumber._new(
+            x._a * y._c + y._a * x._c, x._b * y._c + y._b * x._c, d, x._c * y._c
+        )
 
     def __radd__(self, other: Coercible) -> ExactNumber:
         return self.__add__(other)
 
     def __neg__(self) -> ExactNumber:
-        return ExactNumber(-self._a, -self._b, self._d, self._c)
+        return ExactNumber._new(-self._a, -self._b, self._d, self._c)
 
     def __sub__(self, other: Coercible) -> ExactNumber:
         o = self._coerce(other)
@@ -267,7 +300,7 @@ class ExactNumber:
         if o is None:
             return NotImplemented
         x, y, d = self._merged_radicand(o)
-        return ExactNumber(
+        return ExactNumber._new(
             x._a * y._a + x._b * y._b * d, x._a * y._b + x._b * y._a, d, x._c * y._c
         )
 
@@ -280,7 +313,8 @@ class ExactNumber:
         # 1 / ((a + b*sqrt(d))/c) = c*(a - b*sqrt(d)) / (a*a - b*b*d); the
         # conjugate norm is non-zero because d is non-square whenever b != 0.
         norm = self._a * self._a - self._b * self._b * self._d
-        return ExactNumber(self._c * self._a, -self._c * self._b, self._d, norm)
+        c = -self._c if norm < 0 else self._c
+        return ExactNumber._new(c * self._a, -c * self._b, self._d, abs(norm))
 
     def __truediv__(self, other: Coercible) -> ExactNumber:
         o = self._coerce(other)
@@ -302,9 +336,10 @@ class ExactNumber:
 
     # -- floor ----------------------------------------------------------
 
-    def floor(self) -> int:
-        """The unique integer n with n <= x < n+1, decided exactly."""
-        return next(_multiple_floors(self._a, self._b, self._d, self._c))
+    def floor(self, scale: int = 1) -> int:
+        """The unique integer n with n <= scale*x < n+1, for an int scale >= 1,
+        decided exactly."""
+        return next(_multiple_floors(self._a * scale, self._b * scale, self._d, self._c))
 
     def multiple_floors(self, K: int) -> list[int]:
         """[floor(x), floor(2x), ..] up to the last value <= K, for x > 0.

@@ -5,12 +5,14 @@ directive line, after which only comments and blank lines may follow.  A
 sequence file holds terms (decimal integers or `inf`) and
 `#tail constant <v>` | `#tail infinite` | `#tail unknown` (unknown when
 absent); a set file holds elements and `#horizon <K>` (the last element
-when absent).  Other lines starting with `#` are comments, and blank lines
-are ignored.  The JSON forms mirror the same data; numbers that must stay
-exact travel as literal strings like `(-1+1*sqrt(5))/2`, never as floats.
-The decoders only convert: the rules on terms, tails and elements belong
-to `NumberSequence`, `Tail` and `IntSet`, and a value they reject is
-reported with its line (text) or its term index (JSON).
+when absent).  A `#` line is the directive only when its first word is
+`#tail` (resp. `#horizon`); every other line starting with `#` is a
+comment, and blank lines are ignored.  The JSON forms mirror the same
+data; numbers that must stay exact travel as literal strings like
+`(-1+1*sqrt(5))/2`, never as floats.  The decoders only convert: the rules
+on terms, tails and elements belong to `NumberSequence`, `Tail` and
+`IntSet`, and a value they reject is reported with its line (text) or its
+term index (JSON).
 """
 
 from __future__ import annotations
@@ -69,16 +71,19 @@ def _scan(
     args: Optional[list[str]] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line[0] == "#" and not line.startswith(directive):
-            if args is None:
-                skipped.append(len(tokens))
-        elif args is not None:
-            what = "duplicate" if line[0] == "#" else f"{line!r} after the"
-            raise ParseError(f"line {lineno}: {what} {directive} directive")
-        elif line[0] == "#":
-            args = line.split()[1:]
-        else:
+        if line and line[0] != "#":
+            if args is not None:
+                raise ParseError(f"line {lineno}: {line!r} after the {directive} directive")
             tokens.append(line)
+            continue
+        # A `#` line is the directive only if its first word is the directive.
+        words = line.split()
+        if words and words[0] == directive:
+            if args is not None:
+                raise ParseError(f"line {lineno}: duplicate {directive} directive")
+            args = words[1:]
+        elif args is None:
+            skipped.append(len(tokens))
     return tokens, lambda i: i + 1 + bisect_right(skipped, i), args
 
 
@@ -284,5 +289,10 @@ def event_to_json(time: ExactNumber, kind: str, count: int) -> dict[str, Any]:
 
 
 def events_to_jsonl(log: EventLog) -> str:
-    lines = [json.dumps(event_to_json(e.time, e.kind, e.count)) for e in log.events]
+    # The line `json.dumps(event_to_json(...))` writes: a time literal and an
+    # event kind hold no character that JSON escapes.
+    lines = [
+        f'{{"t": "{e.time.literal()}", "kind": "{e.kind}", "count": {e.count}}}'
+        for e in log.events
+    ]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -13,6 +13,17 @@ number of meetings merged so far, a meeting counting itself.  A time shared
 by more than one stream is a meeting exactly at the origin and is recorded
 as a single collision event, which voids any partition claim for the log.
 
+Both the merge and the grouping key each time t by the pair
+(floor(t*2^32), t), with the integer prefix from the kernel's floor rule.
+The prefix is monotone in t, so the pairs order exactly as the times do:
+an integer comparison decides every two times that differ by 2^-32 or
+more, and only times that share a prefix reach the exact comparison of
+the second field.  Equal times share their prefix, so grouping by the pair
+still gathers exactly the equal times, and collisions are found as before.
+The merge compares whole (prefix, t, kind) items; two of them agree in
+prefix and time only at a collision, where the kind breaks the tie inside
+a group that becomes one event anyway.
+
 The counts come from the merge alone and never from the set formulas in
 `continuous` (such as `meeting_count`), so the two routes stay independent:
 they are compared against each other in the tests, not derived from one
@@ -35,6 +46,9 @@ Y_CROSSING = "y_crosses_origin"
 X_CROSSING = "x_crosses_origin"
 MEETING = "meeting"
 COLLISION = "collision"
+
+# Times are merged on floor(t * 2^32) first; see the module docstring.
+_SCALE = 2**32
 
 
 @dataclass(frozen=True)
@@ -65,14 +79,15 @@ def simulate(phi: MonotoneMap, T: Timelike) -> EventLog:
     if horizon.sign() <= 0:
         raise NonPositiveTime(f"simulation horizon must be positive, got {horizon}")
     streams = (
-        ((ExactNumber(k), Y_CROSSING) for k in range(1, horizon.floor() + 1)),
-        ((t, X_CROSSING) for _, t in phi.level_times(0, horizon)),
-        ((t, MEETING) for _, t in phi.level_times(1, horizon)),
+        ((k * _SCALE, ExactNumber._new(k, 0, 0, 1), Y_CROSSING)
+         for k in range(1, horizon.floor() + 1)),
+        ((t.floor(_SCALE), t, X_CROSSING) for _, t in phi.level_times(0, horizon)),
+        ((t.floor(_SCALE), t, MEETING) for _, t in phi.level_times(1, horizon)),
     )
     events: list[Event] = []
     meetings = 0
-    for t, due in groupby(heapq.merge(*streams, key=itemgetter(0)), key=itemgetter(0)):
-        kinds = [kind for _, kind in due]
+    for (_, t), due in groupby(heapq.merge(*streams), key=itemgetter(0, 1)):
+        kinds = [kind for _, _, kind in due]
         if MEETING in kinds:
             meetings += 1
         # Coincidence of streams means a meeting at the origin itself.

@@ -16,11 +16,16 @@ Three more are the slow paths that the integer-only routes replaced:
 `subtract_compare` orders two values by building their difference, and
 `generic_corollary_sets` builds the pair of sets term by term through the
 map, whatever its shape, taking each floor by `bisect_floor`.
+`merge_events` is the simulator's former merge, ordered and grouped on the
+bare exact times.
 """
 
 from __future__ import annotations
 
+import heapq
 from decimal import Decimal, localcontext
+from itertools import groupby
+from operator import itemgetter
 
 DIGITS = 100
 
@@ -170,3 +175,27 @@ def generic_corollary_sets(phi, K: int) -> tuple[list[int], list[int]]:
             break
         s_x.append(v)
     return s_y, s_x
+
+
+def merge_events(phi, T) -> list[tuple]:
+    """(time, kind, count) of each event up to the exact time T > 0.
+
+    `heapq.merge` orders the Y crossings at the integers and the two
+    `level_times` streams by exact comparison of the bare times, and
+    `groupby` gathers equal times into one event, a collision when more
+    than one stream meets there.  A count is the number of meetings merged
+    so far, a meeting counting itself.
+    """
+    streams = (
+        ((k, "y_crosses_origin") for k in range(1, bisect_floor(T.a, T.b, T.d, T.c) + 1)),
+        ((t, "x_crosses_origin") for _, t in phi.level_times(0, T)),
+        ((t, "meeting") for _, t in phi.level_times(1, T)),
+    )
+    events = []
+    meetings = 0
+    for t, due in groupby(heapq.merge(*streams, key=itemgetter(0)), key=itemgetter(0)):
+        kinds = [kind for _, kind in due]
+        if "meeting" in kinds:
+            meetings += 1
+        events.append((t, kinds[0] if len(kinds) == 1 else "collision", meetings))
+    return events

@@ -236,6 +236,41 @@ class TestFloor:
         assert ExactNumber(a, b, d, c).floor() == bisect_floor(a, b, d, c)
 
 
+    @given(coeffs, st.integers(0, 10**6), st.integers(1, 2**40))
+    def test_scaled_floor(self, abc, d, scale):
+        a, b, c = abc
+        assert ExactNumber(a, b, d, c).floor(scale) == bisect_floor(a * scale, b * scale, d, c)
+
+
+class TestInternalConstructor:
+    @given(coeffs, st.integers(0, 10**6))
+    def test_matches_public_constructor(self, abc, d):
+        a, b, c = abc
+        r = checked_isqrt(d)
+        if r * r == d:
+            d = r * r + 1 if r else 2  # the internal constructor takes no square radicand
+        x, y = ExactNumber._new(a, b, d, c), ExactNumber(a, b, d, c)
+        assert (x.a, x.b, x.d, x.c) == (y.a, y.b, y.d, y.c)
+        assert hash(x) == hash(y) and x == y
+
+    @given(coeffs, coeffs, radicand)
+    def test_arithmetic_matches_public_constructor(self, abc1, abc2, d):
+        # Each result is the public constructor's normal form of the field formula.
+        def fields(v):
+            return (v.a, v.b, v.d, v.c)
+
+        x, y = ExactNumber(*abc1[:2], d, abc1[2]), ExactNumber(*abc2[:2], d, abc2[2])
+        a1, b1, _, c1 = fields(x)
+        a2, b2, _, c2 = fields(y)
+        add = ExactNumber(a1 * c2 + a2 * c1, b1 * c2 + b2 * c1, d, c1 * c2)
+        mul = ExactNumber(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2, d, c1 * c2)
+        assert fields(x + y) == fields(add) and fields(x * y) == fields(mul)
+        assert fields(-x) == fields(ExactNumber(-a1, -b1, x.d, c1))
+        if x:
+            norm = a1 * a1 - b1 * b1 * x.d
+            assert fields(x.reciprocal()) == fields(ExactNumber(c1 * a1, -c1 * b1, x.d, norm))
+
+
 class TestPredicates:
     def test_is_integer_examples(self):
         assert ExactNumber(6, 0, 0, 3).is_integer()

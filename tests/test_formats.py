@@ -2,11 +2,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lamo import INF, IntSet, LinearMap, NumberSequence, PiecewiseMap, Tail, simulate
 from lamo.errors import ParseError
 from lamo.exact import ExactNumber
 from lamo.formats import (
+    event_to_json,
     events_to_jsonl,
     intset_from_json,
     intset_to_json,
@@ -21,6 +23,7 @@ from lamo.formats import (
     sequence_from_json,
     sequence_to_json,
 )
+from lamo.runner import COLLISION, MEETING, X_CROSSING, Y_CROSSING, Event, EventLog
 
 
 class TestSequenceText:
@@ -43,6 +46,13 @@ class TestSequenceText:
     def test_comments_and_blank_lines_skipped(self):
         s = parse_sequence_text("# a note\n\n1\n# another\n2\n#tail unknown\n")
         assert s.prefix == (1, 2)
+
+    def test_comment_starting_with_the_directive_word(self):
+        s = parse_sequence_text("1\n2\n#tailored by hand\n")
+        assert s == NumberSequence((1, 2), Tail.unknown())
+
+    def test_directive_word_must_match_exactly(self):
+        assert parse_sequence_text("1\n2\n#tailx constant 2\n").tail == Tail.unknown()
 
     def test_error_names_offending_line(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -158,6 +168,9 @@ class TestIntSetForms:
         assert parse_intset("1\n5\n").horizon == 5
         assert parse_intset("").horizon == 0
 
+    def test_horizon_word_must_match_exactly(self):
+        assert parse_intset("1\n2\n#horizonx 9\n") == IntSet((1, 2), 2)
+
     @pytest.mark.parametrize(
         "text, line",
         [
@@ -264,3 +277,25 @@ class TestEventExport:
     def test_empty_log_renders_empty(self):
         log = simulate(LinearMap(ExactNumber.sqrt(2)), Fraction(1, 3))
         assert events_to_jsonl(log) == ""
+
+
+exact_times = st.builds(
+    lambda a, b, d, c: ExactNumber(a, b, d, c),
+    st.integers(-(10**12), 10**12),
+    st.integers(-(10**6), 10**6),
+    st.integers(0, 10**6),
+    st.integers(1, 10**6),
+)
+events = st.builds(
+    Event,
+    exact_times,
+    st.sampled_from([MEETING, X_CROSSING, Y_CROSSING, COLLISION]),
+    st.integers(0, 10**9),
+)
+
+
+@given(st.lists(events, max_size=20))
+def test_jsonl_lines_are_json_dumps(evs):
+    log = EventLog(tuple(evs), ExactNumber(1))
+    expected = [json.dumps(event_to_json(e.time, e.kind, e.count)) for e in evs]
+    assert events_to_jsonl(log) == "".join(line + "\n" for line in expected)

@@ -16,13 +16,14 @@ from lamo import (
     recorded_sets,
     simulate,
 )
+from lamo import continuous
 from lamo.continuous import PiecewiseMap
 from lamo.errors import NonPositiveTime
 from lamo.exact import ExactNumber
 from lamo.runner import COLLISION, MEETING, X_CROSSING, Y_CROSSING
 
 from gen import random_rational_map
-from oracles import bisect_meeting_time
+from oracles import bisect_meeting_time, merge_events
 
 GOLDEN = ExactNumber(-1, 1, 5, 2)
 SQRT2 = ExactNumber.sqrt(2)
@@ -161,6 +162,7 @@ class TestSimulate:
             raise AssertionError("simulate read the Beatty floors")
 
         monkeypatch.setattr(ExactNumber, "multiple_floors", unavailable)
+        monkeypatch.setattr(continuous, "corollary_sets", unavailable)
         assert recorded_sets(simulate(phi, 40)) == expected
 
     def test_empty_log(self):
@@ -213,3 +215,58 @@ class TestSimulate:
             e.count for e in log.events if e.kind in (X_CROSSING, Y_CROSSING) and e.count >= 1
         )
         assert counts == list(range(1, len(counts) + 1))
+
+
+def logged(phi, T):
+    """The event log of `simulate` as (time, kind, count) triples."""
+    log = simulate(phi, T)
+    assert log.horizon_time == T
+    return [(e.time, e.kind, e.count) for e in log.events]
+
+
+# Positive slopes p/q whose crossings and meetings often share a time.
+rational_slopes = st.builds(
+    lambda p, q: ExactNumber(p, 0, 0, q), st.integers(1, 12), st.integers(1, 6)
+)
+exact_horizons = horizons.map(ExactNumber.from_fraction)
+
+
+class TestMergeOracle:
+    """The prefix-keyed merge against the merge on bare exact times."""
+
+    @given(st.one_of(quadratic_slopes(), rational_slopes), exact_horizons)
+    @settings(max_examples=80, deadline=None)
+    def test_linear_maps(self, slope, T):
+        phi = LinearMap(slope)
+        assert logged(phi, T) == merge_events(phi, T)
+
+    @given(map_seeds, exact_horizons)
+    @settings(max_examples=60, deadline=None)
+    def test_piecewise_maps(self, seed, T):
+        phi = random_rational_map(random.Random(seed))
+        assert logged(phi, T) == merge_events(phi, T)
+
+    def test_rational_slopes_collide(self):
+        phi = LinearMap(Fraction(3, 2))
+        events = logged(phi, ExactNumber(6))
+        assert events == merge_events(phi, ExactNumber(6))
+        assert [t for t, kind, _ in events if kind == COLLISION] == [2, 4, 6]
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_near_ties_at_one_and_two(self, delta):
+        # slope sqrt(10^20 + delta)/10^10 = 1 + O(10^-20): the X crossing at
+        # 1/slope and the meetings 2/(1+slope), 4/(1+slope) lie within 2^-32
+        # of the Y crossings at t = 1 and t = 2 without meeting them.
+        phi = LinearMap(ExactNumber(0, 1, 10**20 + delta, 10**10))
+        T = ExactNumber(3)
+        events = logged(phi, T)
+        assert events == merge_events(phi, T)
+        assert COLLISION not in {kind for _, kind, _ in events}
+        for n in (1, 2):
+            near = [(t, kind) for t, kind, _ in events if abs(t - n) < Fraction(1, 2**32)]
+            assert sorted(kind for _, kind in near) == [MEETING, X_CROSSING, Y_CROSSING]
+            # Below the slope 1 all three share the prefix floor(t*2^32) = n*2^32.
+            assert len({t.floor(2**32) for t, _ in near}) == (1 if delta < 0 else 2)
+        s_x, s_y = recorded_sets(simulate(phi, T))
+        alg_y, alg_x = corollary_sets(phi, s_x.horizon)
+        assert (s_x, s_y) == (alg_x, alg_y)
