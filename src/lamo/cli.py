@@ -75,10 +75,7 @@ def _sequence_report(
         if limit < 0:
             raise ParseError(f"--limit must be >= 0, got {limit}")
         shown = limit if horizon is INF else min(limit, int(horizon))
-    terms = s.prefix[:shown]
-    if shown > len(terms):
-        terms += (s.value_at(shown),) * (shown - len(terms))
-    window = NumberSequence(terms, s.tail if shown >= len(s.prefix) else Tail.unknown())
+    window = NumberSequence(s.values(shown), s.tail if shown >= len(s.prefix) else Tail.unknown())
     if fmt == "json":
         return {**formats.sequence_to_json(window), "exact_through": exact_through}
     if fmt == "csv":

@@ -31,7 +31,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, takewhile
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     EmptyWindow,
@@ -44,33 +44,25 @@ from .errors import (
     OutsideImage,
     UnsupportedPoint,
 )
-from .exact import ExactNumber
+from .exact import Coercible as Timelike, ExactNumber
 from .sequences import (
     INF,
     ExtNat,
     IntSet,
     NumberSequence,
     check_non_decreasing,
+    require_bound,
 )
-
-Timelike = Union[int, Fraction, ExactNumber]
-
-
-def _exact(x: Timelike) -> ExactNumber:
-    e = ExactNumber._coerce(x)
-    if e is None:
-        raise TypeError(f"expected an exact numeric value, got {x!r}")
-    return e
 
 
 def _fraction(x: Timelike, what: str) -> Fraction:
-    if isinstance(x, ExactNumber):
-        if not x.is_rational:
-            raise UnsupportedPoint(f"{what} must be rational for a piecewise map, got {x}")
-        return x.as_fraction()
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise TypeError(f"expected an exact numeric value, got {x!r}")
-    return Fraction(x)
+    """x as a Fraction; UnsupportedPoint when it is irrational."""
+    if isinstance(x, Fraction):
+        return x
+    e = ExactNumber.coerce(x)
+    if not e.is_rational:
+        raise UnsupportedPoint(f"{what} must be rational for a piecewise map, got {e}")
+    return e.as_fraction()
 
 
 class MonotoneMap:
@@ -95,7 +87,7 @@ class MonotoneMap:
         raise NotImplementedError
 
     def image_contains(self, y: Timelike) -> bool:
-        e = _exact(y)
+        e = ExactNumber.coerce(y)
         if e.sign() <= 0:
             return False
         m = self.image_sup()
@@ -108,19 +100,19 @@ class LinearMap(MonotoneMap):
     __slots__ = ("slope",)
 
     def __init__(self, slope: Timelike) -> None:
-        s = _exact(slope)
+        s = ExactNumber.coerce(slope)
         if s.sign() <= 0:
             raise NonPositiveSlope(f"slope must be positive, got {s}")
         self.slope = s
 
     def eval(self, t: Timelike) -> ExactNumber:
-        e = _exact(t)
+        e = ExactNumber.coerce(t)
         if e.sign() <= 0:
             raise NonPositiveTime(f"time must be positive, got {e}")
         return self.slope * e
 
     def inverse_eval(self, y: Timelike) -> ExactNumber:
-        e = _exact(y)
+        e = ExactNumber.coerce(y)
         if e.sign() <= 0:
             raise OutsideImage(f"{e} is outside the image (0, oo)")
         return e / self.slope
@@ -130,7 +122,7 @@ class LinearMap(MonotoneMap):
         step = rate.reciprocal()
         a, b, d, c = step.a, step.b, step.d, step.c
         # k/rate <= until iff k <= floor(rate*until), so one floor bounds the stream.
-        for k in range(1, (rate * _exact(until)).floor() + 1):
+        for k in range(1, (rate * ExactNumber.coerce(until)).floor() + 1):
             yield k, ExactNumber._new(a * k, b * k, d, c)
 
     def image_sup(self) -> Optional[ExactNumber]:
@@ -153,10 +145,10 @@ class PiecewiseMap(MonotoneMap):
 
     def __init__(
         self,
-        anchor_values: Sequence[Union[int, Fraction]],
-        saturation_limit: Optional[Union[int, Fraction]] = None,
+        anchor_values: Sequence[Timelike],
+        saturation_limit: Optional[Timelike] = None,
     ) -> None:
-        vals = tuple(Fraction(v) for v in anchor_values)
+        vals = tuple(_fraction(v, "anchor value") for v in anchor_values)
         if not vals:
             raise EmptyWindow("a piecewise map needs at least one anchor")
         prev = Fraction(0)
@@ -171,7 +163,7 @@ class PiecewiseMap(MonotoneMap):
             self.limit = None
             self._scale = None
         else:
-            lim = Fraction(saturation_limit)
+            lim = _fraction(saturation_limit, "saturation limit")
             if lim <= vals[-1]:
                 raise NotSorted(f"saturation limit {lim} must exceed the last anchor {vals[-1]}")
             self.limit = lim
@@ -232,7 +224,7 @@ class PiecewiseMap(MonotoneMap):
     def level_times(self, shift: int, until: Timelike) -> Iterator[tuple[int, ExactNumber]]:
         # On the piece [j-1, j], phi(t) + shift*t runs linearly from lo to hi
         # and passes each integer k in (lo, hi] once.
-        end = _exact(until)
+        end = ExactNumber.coerce(until)
         last = end.floor() + 1  # the piece holding `until`
         lo = Fraction(0)
         for j in range(1, last + 1):
@@ -279,14 +271,13 @@ class Avoidance:
 
 def meeting_count(phi: MonotoneMap, t: Timelike) -> int:
     """floor(phi(t) + t), the number of meetings of the two motions by time t."""
-    e = _exact(t)
+    e = ExactNumber.coerce(t)
     return (phi.eval(e) + e).floor()
 
 
 def lattice_avoidance(phi: MonotoneMap, N: int) -> Avoidance:
     """The first n in 1..N with phi(n) exactly a positive integer, if any."""
-    if not isinstance(N, int) or N < 1:
-        raise NotPositive(f"scan bound must be a positive integer, got {N!r}")
+    require_bound(N, "scan bound")
     if isinstance(phi, LinearMap):
         # p*n/q with gcd(p, q) = 1 is an integer iff q divides n.
         q = phi.slope.c
@@ -306,8 +297,7 @@ def corollary_sets(phi: MonotoneMap, K: int) -> tuple[IntSet, IntSet]:
     enumeration stops at the first value beyond K and the horizons are
     exactly K.
     """
-    if not isinstance(K, int) or K < 1:
-        raise NotPositive(f"window bound must be a positive integer, got {K!r}")
+    require_bound(K, "window bound")
     if isinstance(phi, LinearMap):
         # phi(n) + n = n*(1+lambda), and the crossing n/lambda gives n*(1+1/lambda).
         lam = phi.slope
@@ -357,8 +347,7 @@ def construct_phi(f: NumberSequence) -> PiecewiseMap:
 
 def induced_inverse(phi: MonotoneMap, n: int) -> ExtNat:
     """floor(phi^-1(n)) when n is in the image of phi, INF otherwise."""
-    if not isinstance(n, int) or n < 1:
-        raise NotPositive(f"index must be a positive integer, got {n!r}")
+    require_bound(n, "index")
     if not phi.image_contains(n):
         return INF
     return phi.inverse_eval(n).floor()
@@ -371,7 +360,4 @@ def beatty_pair(lam: Timelike, K: int) -> tuple[IntSet, IntSet]:
     simply produce a pair that fails complementarity, which is the
     interesting failure case.
     """
-    s = _exact(lam)
-    if s.sign() <= 0:
-        raise NonPositiveSlope(f"slope must be positive, got {s}")
-    return corollary_sets(LinearMap(s), K)
+    return corollary_sets(LinearMap(lam), K)

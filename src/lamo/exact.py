@@ -33,6 +33,9 @@ and the closed-form level times build through it.  The form is canonical,
 so `==` on two values over the same radicand, or with either rational, is
 equality of the fields; only compatible but differently written radicands,
 such as sqrt(2) and sqrt(8), go through `compare`.
+
+An exact value is an ExactNumber, a Fraction or an int of type exactly `int`
+(never a bool); `ExactNumber.coerce` converts one or raises TypeError.
 """
 
 from __future__ import annotations
@@ -95,6 +98,7 @@ def _multiple_floors(a: int, b: int, d: int, c: int) -> Iterator[int]:
             yield (a * n - math.isqrt(bbd * n * n) - 1) // c
 
 
+_SPLIT_RE = re.compile(r"\w\s+\w")
 _INT_RE = re.compile(r"([+-]?\d+)")
 _RAT_RE = re.compile(r"([+-]?\d+)/([+-]?\d+)")
 _RAD_RE = re.compile(r"([+-]?)(?:(\d+)\*)?sqrt\((\d+)\)(?:/([+-]?\d+))?")
@@ -110,7 +114,7 @@ class ExactNumber:
 
     def __init__(self, a: int, b: int = 0, d: int = 0, c: int = 1) -> None:
         for name, v in (("a", a), ("b", b), ("d", d), ("c", c)):
-            if not isinstance(v, int) or isinstance(v, bool):
+            if type(v) is not int:
                 raise TypeError(f"field {name} must be an int, got {v!r}")
         if c == 0:
             raise ZeroDenominator("denominator c must be non-zero")
@@ -184,16 +188,23 @@ class ExactNumber:
         return cls(0, 1, d, 1)
 
     @staticmethod
-    def _coerce(x: Coercible) -> ExactNumber | None:
+    def _coerce(x: object) -> ExactNumber | None:
+        """`coerce` for the operators: None where `coerce` raises."""
         if isinstance(x, ExactNumber):
             return x
-        if isinstance(x, bool):
-            return None
-        if isinstance(x, int):
+        if type(x) is int:
             return ExactNumber(x)
         if isinstance(x, Fraction):
             return ExactNumber.from_fraction(x)
         return None
+
+    @staticmethod
+    def coerce(x: object) -> ExactNumber:
+        """x as an ExactNumber; TypeError when x is no exact value."""
+        e = ExactNumber._coerce(x)
+        if e is None:
+            raise TypeError(f"expected an exact numeric value, got {x!r}")
+        return e
 
     # -- predicates -----------------------------------------------------
 
@@ -373,8 +384,12 @@ class ExactNumber:
     @classmethod
     def parse(cls, text: str) -> ExactNumber:
         """Parse a literal such as ``7``, ``3/2``, ``sqrt(5)`` or
-        ``(-1+1*sqrt(5))/2``.  Decimal literals are rejected."""
-        s = text.strip().replace("−", "-").replace(" ", "")
+        ``( -1 + sqrt(5) ) / 2``.  Whitespace, spaces and tabs alike, may
+        separate tokens but never splits a number or a name (``1 2`` and
+        ``sq rt(2)`` are rejected).  Decimal literals are rejected."""
+        if _SPLIT_RE.search(text):
+            raise ParseError(f"whitespace between two digits or letters: {text!r}")
+        s = "".join(text.replace("−", "-").split())
         if not s:
             raise ParseError("empty numeric literal")
         if "." in s:
@@ -401,7 +416,3 @@ class ExactNumber:
 
     def __repr__(self) -> str:
         return f"ExactNumber({self._a}, {self._b}, {self._d}, {self._c})"
-
-
-ZERO = ExactNumber(0)
-ONE = ExactNumber(1)

@@ -30,9 +30,7 @@ from .sequences import INF, IntSet, NumberSequence, Tail, is_extnat
 
 
 def _rational_literal(text: Union[str, int], what: str) -> Fraction:
-    if isinstance(text, bool):
-        raise ParseError(f"{what} must be an exact literal, got {text!r}")
-    if isinstance(text, int):
+    if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str):
         raise ParseError(f"{what} must be an exact literal string, got {text!r}")
@@ -213,11 +211,9 @@ def intset_from_json(obj: Any) -> IntSet:
         raise ParseError("set JSON must be an object")
     elems = obj.get("elements")
     horizon = obj.get("horizon")
-    if not isinstance(elems, list) or not all(
-        isinstance(e, int) and not isinstance(e, bool) for e in elems
-    ):
+    if not isinstance(elems, list) or not all(type(e) is int for e in elems):
         raise ParseError("set JSON needs an integer 'elements' array")
-    if not isinstance(horizon, int) or isinstance(horizon, bool):
+    if type(horizon) is not int:
         raise ParseError("set JSON needs an integer 'horizon'")
     return _intset(elems, horizon)
 

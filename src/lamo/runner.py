@@ -39,7 +39,7 @@ from operator import itemgetter
 
 from .errors import CollisionPresent, NonPositiveTime
 from .exact import ExactNumber
-from .continuous import MonotoneMap, Timelike, _exact
+from .continuous import MonotoneMap, Timelike
 from .sequences import IntSet
 
 Y_CROSSING = "y_crosses_origin"
@@ -75,7 +75,7 @@ class EventLog:
 
 def simulate(phi: MonotoneMap, T: Timelike) -> EventLog:
     """Exact event log of both crossings and all meetings up to time T."""
-    horizon = _exact(T)
+    horizon = ExactNumber.coerce(T)
     if horizon.sign() <= 0:
         raise NonPositiveTime(f"simulation horizon must be positive, got {horizon}")
     streams = (

@@ -36,9 +36,15 @@ ExtNat = Union[int, float]
 
 
 def is_extnat(v: object) -> bool:
-    if v is INF:
-        return True
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+    return v is INF or (type(v) is int and v >= 0)
+
+
+def require_bound(v: object, what: str, least: int = 1) -> None:
+    """NotPositive unless v is an int (of type exactly `int`, so never a bool)
+    >= least: 1 for a window bound or an index, 0 for a horizon."""
+    if type(v) is not int or v < least:
+        kind = "a positive" if least else "a non-negative"
+        raise NotPositive(f"{what} must be {kind} integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,7 @@ class Tail:
         if self.kind not in ("unknown", "constant", "infinite"):
             raise ValueError(f"unknown tail kind {self.kind!r}")
         if self.kind == "constant":
-            if not isinstance(self.value, int) or isinstance(self.value, bool) or self.value < 0:
+            if type(self.value) is not int or self.value < 0:
                 raise ValueError(
                     f"constant tail needs a non-negative integer value, got {self.value!r}"
                 )
@@ -122,8 +128,7 @@ class NumberSequence:
 
     def value_at(self, n: int) -> ExtNat:
         """f(n) for 1-indexed n, or HorizonExceeded past the known window."""
-        if not isinstance(n, int) or n < 1:
-            raise NotPositive(f"sequence index must be >= 1, got {n!r}")
+        require_bound(n, "sequence index")
         if n <= len(self._prefix):
             return self._prefix[n - 1]
         t = self._tail
@@ -132,6 +137,13 @@ class NumberSequence:
         if t.kind == "infinite":
             return INF
         raise HorizonExceeded(f"value at index {n} is outside the known prefix of length {len(self._prefix)}")
+
+    def values(self, n: int) -> tuple[ExtNat, ...]:
+        """(f(1), .., f(n)) for an int n >= 0; HorizonExceeded as `value_at`."""
+        head = self._prefix[:n]
+        if n > len(head):
+            head += (self.value_at(len(head) + 1),) * (n - len(head))
+        return head
 
     def _canonical(self) -> tuple[tuple[ExtNat, ...], Tail]:
         t = self._tail
@@ -173,11 +185,10 @@ class IntSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(self.elements))
-        if not isinstance(self.horizon, int) or self.horizon < 0:
-            raise NotPositive(f"horizon must be a non-negative integer, got {self.horizon!r}")
+        require_bound(self.horizon, "horizon", least=0)
         prev = 0
         for e in self.elements:
-            if not isinstance(e, int) or isinstance(e, bool) or e < 1:
+            if type(e) is not int or e < 1:
                 raise NotPositive(f"set element must be a positive integer: {e!r}")
             if e <= prev:
                 raise NotSorted(f"set elements must be strictly increasing: {e} after {prev}")
@@ -266,11 +277,10 @@ def grid_witness(
     for q = min(f(m), N).  The row is clean iff p == q; otherwise both
     hold first at n = q+1 (p > q) or neither at n = p+1 (p < q).
     """
-    if M < 1 or N < 1:
-        raise NotPositive("window dimensions must be >= 1")
+    require_bound(M, "window dimension M")
+    require_bound(N, "window dimension N")
     _require_non_decreasing(g)
-    fv = [f.value_at(m) for m in range(1, M + 1)]
-    gv = [g.value_at(n) for n in range(1, N + 1)]
+    fv, gv = f.values(M), g.values(N)
     for m, fm in enumerate(fv, start=1):
         p, q = bisect_left(gv, m), min(fm, N)
         if p != q:
@@ -302,8 +312,7 @@ def hat(f: NumberSequence, K: int) -> IntSet:
     the prefix could contribute values as small as N + 1 + f(N).
     """
     _require_non_decreasing(f)
-    if not isinstance(K, int) or K < 1:
-        raise NotPositive(f"hat window bound must be a positive integer, got {K!r}")
+    require_bound(K, "hat window bound")
     if K > hat_horizon(f):
         raise HorizonExceeded(
             f"hat window {K} exceeds the guaranteed horizon {hat_horizon(f)}"
@@ -338,8 +347,7 @@ def check_complementary(A: IntSet, B: IntSet, K: int) -> Verdict:
     integer otherwise: an overlap is where the two generated streams
     actually collide, so it outranks a skipped value in the report.
     """
-    if not isinstance(K, int) or K < 1:
-        raise NotPositive(f"window bound must be a positive integer, got {K!r}")
+    require_bound(K, "window bound")
     if A.horizon < K or B.horizon < K:
         raise HorizonExceeded(
             f"window {K} exceeds a set horizon ({A.horizon}, {B.horizon})"

@@ -217,6 +217,10 @@ class TestBeatty:
         code, _, err = run(capsys, "beatty", "0.75", "5")
         assert code == 2 and "ParseError" in err
 
+    def test_whitespace_inside_a_number_exits_2(self, capsys):
+        code, out, err = run(capsys, "beatty", "1 2", "5")
+        assert code == 2 and out == "" and "ParseError" in err
+
     def test_csv_lists_both_sets(self, capsys):
         code, out, _ = run(capsys, "beatty", "1", "4", "--format", "csv")
         assert code == 0

@@ -395,3 +395,22 @@ class TestMapValidation:
     def test_needs_an_anchor(self):
         with pytest.raises(EmptyWindow):
             PiecewiseMap([])
+
+    @pytest.mark.parametrize("bad", [0.5, "1/2", True])
+    def test_anchor_must_be_exact(self, bad):
+        with pytest.raises(TypeError, match="expected an exact numeric value"):
+            PiecewiseMap([bad, Fraction(2)])
+
+    @pytest.mark.parametrize("bad", [3.5, "7/2", True])
+    def test_limit_must_be_exact(self, bad):
+        with pytest.raises(TypeError, match="expected an exact numeric value"):
+            PiecewiseMap([Fraction(1), Fraction(2)], saturation_limit=bad)
+
+    def test_rational_exact_numbers_accepted(self):
+        phi = PiecewiseMap([ExactNumber(3, 0, 0, 2)], saturation_limit=ExactNumber(2))
+        assert phi.values == (Fraction(3, 2),) and phi.limit == Fraction(2)
+        assert phi.eval(1) == Fraction(3, 2)
+
+    def test_irrational_anchor_rejected(self):
+        with pytest.raises(UnsupportedPoint, match="anchor value must be rational"):
+            PiecewiseMap([SQRT2])

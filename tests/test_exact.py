@@ -1,8 +1,9 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lamo.errors import IncompatibleRadicands, ParseError, ZeroDenominator
 from lamo.exact import ExactNumber, checked_isqrt
@@ -94,6 +95,8 @@ class TestArithmetic:
         assert SQRT2 * Fraction(0, 1) == ExactNumber(0)
         x = ExactNumber(1, 1, 5, 2) * Fraction(10, 1)
         assert (x.a, x.b, x.c, x.d) == (5, 5, 1, 5)
+        assert Fraction(2, 1) * GOLDEN == ExactNumber(-1, 1, 5, 1)
+        assert 3 * SQRT2 == ExactNumber(0, 3, 2, 1)
 
     def test_mul_rational_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
@@ -307,22 +310,64 @@ class TestParse:
             ("(3+2*sqrt(2))/2", ExactNumber(3, 2, 2, 2)),
             ("1+1*sqrt(5)", ExactNumber(1, 1, 5, 1)),
             ("(−1+1*sqrt(5))/2", GOLDEN),
+            ("( -1 + sqrt(5) ) / 2", GOLDEN),
+            (" 3/2 ", ExactNumber(3, 0, 0, 2)),
+            ("\t3 /\t2\n", ExactNumber(3, 0, 0, 2)),
+            ("2 * sqrt (3)", ExactNumber(0, 2, 3, 1)),
         ],
     )
     def test_parse_literals(self, text, value):
         assert ExactNumber.parse(text) == value
 
     @given(quadratics)
+    @example(-SQRT2)
+    @example(ExactNumber(0, -1, 5, 3))
     def test_literal_round_trip(self, x):
         assert ExactNumber.parse(x.literal()) == x
 
-    @pytest.mark.parametrize("bad", ["", "1.5", "sqrt(-2)", "1//2", "one", "(1+)/2", "0.25"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "1.5", "sqrt(-2)", "1//2", "one", "(1+)/2", "0.25",
+         "1 2", "1\t2", "sq rt(2)", "sqrt(1 0)", "2 sqrt(3)"],
+    )
     def test_parse_rejects(self, bad):
         with pytest.raises(ParseError):
             ExactNumber.parse(bad)
 
     def test_hash_consistent_with_eq(self):
         assert hash(ExactNumber(2, 2, 5, 2)) == hash(ExactNumber(1, 1, 5, 1))
+
+
+class TestExactValues:
+    """An exact value is an ExactNumber, a Fraction, or an object of type exactly int."""
+
+    class Sub(int):
+        pass
+
+    @pytest.mark.parametrize("x", [7, Fraction(3, 2), GOLDEN])
+    def test_coerce_accepts(self, x):
+        assert ExactNumber.coerce(x) == x
+
+    @pytest.mark.parametrize("x", [True, Sub(3), 1.5, "1", None])
+    def test_coerce_rejects(self, x):
+        with pytest.raises(TypeError, match="expected an exact numeric value"):
+            ExactNumber.coerce(x)
+        assert ExactNumber._coerce(x) is None
+
+    @pytest.mark.parametrize("fields", [(True,), (1, True, 2, 1), (Sub(1),), (1, 0, 0, 2.0)])
+    def test_fields_must_be_ints(self, fields):
+        with pytest.raises(TypeError, match="must be an int"):
+            ExactNumber(*fields)
+
+    @pytest.mark.parametrize(
+        "op", [operator.add, operator.sub, operator.mul, operator.truediv, operator.lt]
+    )
+    @pytest.mark.parametrize("other", [1.5, True])
+    def test_operators_reject_non_exact(self, op, other):
+        with pytest.raises(TypeError):
+            op(SQRT2, other)
+        with pytest.raises(TypeError):
+            op(other, SQRT2)
 
 
 class TestValueSemantics:

@@ -7,11 +7,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lamo import (
     CollisionPresent,
+    IntSet,
     LinearMap,
     NumberSequence,
     Tail,
     construct_phi,
     corollary_sets,
+    hat,
+    hat_horizon,
+    invert,
     meeting_count,
     recorded_sets,
     simulate,
@@ -22,7 +26,7 @@ from lamo.errors import NonPositiveTime
 from lamo.exact import ExactNumber
 from lamo.runner import COLLISION, MEETING, X_CROSSING, Y_CROSSING
 
-from gen import random_rational_map
+from gen import random_rational_map, random_sequence
 from oracles import bisect_meeting_time, merge_events
 
 GOLDEN = ExactNumber(-1, 1, 5, 2)
@@ -215,6 +219,33 @@ class TestSimulate:
             e.count for e in log.events if e.kind in (X_CROSSING, Y_CROSSING) and e.count >= 1
         )
         assert counts == list(range(1, len(counts) + 1))
+
+
+class TestThreeRoutes:
+    """The counting inverse, the map formulas and the simulator give one pair of sets."""
+
+    @given(map_seeds, st.integers(1, 80))
+    @settings(max_examples=60, deadline=None)
+    def test_routes_agree(self, seed, T):
+        f = random_sequence(random.Random(seed), kinds=("constant", "unknown"))
+        if f.tail.kind == "unknown":
+            # An all-zero prefix has no inverse window.
+            assume(f.prefix[-1] > 0)
+            # Past the prefix the extended map may take an integer value at
+            # an integer time, a meeting at the origin.
+            T = min(T, len(f))
+        g, phi = invert(f), construct_phi(f)
+        rec_x, rec_y = recorded_sets(simulate(phi, T))
+        K = min(hat_horizon(f), hat_horizon(g), rec_x.horizon)
+        if K < 1:
+            return
+        alg_y, alg_x = corollary_sets(phi, K)
+
+        def window(s):
+            return IntSet(tuple(e for e in s.elements if e <= K), K)
+
+        assert hat(f, K) == alg_y == window(rec_y)
+        assert hat(g, K) == alg_x == window(rec_x)
 
 
 def logged(phi, T):

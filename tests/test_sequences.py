@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,17 +7,21 @@ from hypothesis import given, settings, strategies as st
 from lamo import (
     INF,
     IntSet,
+    LinearMap,
     NumberSequence,
     Tail,
     Verdict,
     check_complementary,
     check_non_decreasing,
     classify,
+    corollary_sets,
     from_set,
     grid_witness,
     hat,
     hat_horizon,
+    induced_inverse,
     invert,
+    lattice_avoidance,
     mutually_inverse_on_window,
 )
 from lamo.errors import (
@@ -106,6 +111,55 @@ class TestValueAt:
     def test_index_must_be_positive(self):
         with pytest.raises(NotPositive):
             seq((1,), Tail.unknown()).value_at(0)
+
+    def test_values_continue_the_tail(self):
+        assert seq((1, 2), Tail.constant(7)).values(4) == (1, 2, 7, 7)
+        assert seq((1, 2), Tail.infinite()).values(3) == (1, 2, INF)
+        assert seq((1, 2), Tail.unknown()).values(0) == ()
+        with pytest.raises(HorizonExceeded, match="index 3 is outside"):
+            seq((1, 2), Tail.unknown()).values(5)
+
+
+BOUND_F = NumberSequence((1, 2, 3), Tail.constant(3))
+BOUND_SET = IntSet((1, 3), 4)
+# Every window bound, index and horizon, each with the name its message gives.
+BOUND_SITES = {
+    "value_at": (lambda v: BOUND_F.value_at(v), "sequence index"),
+    "IntSet": (lambda v: IntSet((), v), "horizon"),
+    "grid_witness M": (lambda v: grid_witness(BOUND_F, invert(BOUND_F), v, 2),
+                       "window dimension M"),
+    "grid_witness N": (lambda v: grid_witness(BOUND_F, invert(BOUND_F), 2, v),
+                       "window dimension N"),
+    "hat": (lambda v: hat(BOUND_F, v), "hat window bound"),
+    "check_complementary": (lambda v: check_complementary(BOUND_SET, BOUND_SET, v),
+                            "window bound"),
+    "lattice_avoidance": (lambda v: lattice_avoidance(LinearMap(2), v), "scan bound"),
+    "corollary_sets": (lambda v: corollary_sets(LinearMap(2), v), "window bound"),
+    "induced_inverse": (lambda v: induced_inverse(LinearMap(2), v), "index"),
+}
+
+
+class TestBounds:
+    """One rule for every bound: an object of type exactly int, at least 1
+    (at least 0 for a horizon)."""
+
+    @pytest.mark.parametrize("site", BOUND_SITES)
+    @pytest.mark.parametrize("v", [True, 1.5, -1, "2"])
+    def test_rejects_non_ints_and_negatives(self, site, v):
+        call, what = BOUND_SITES[site]
+        kind = "non-negative" if site == "IntSet" else "positive"
+        message = f"{what} must be a {kind} integer, got {v!r}"
+        with pytest.raises(NotPositive, match=re.escape(message)):
+            call(v)
+
+    @pytest.mark.parametrize("site", BOUND_SITES)
+    def test_accepts_one(self, site):
+        BOUND_SITES[site][0](1)
+
+    def test_fractional_grid_window(self):
+        f = seq((1, 2), Tail.infinite())
+        with pytest.raises(NotPositive):
+            grid_witness(f, invert(f), 1.5, 2)
 
 
 class TestEquality:
