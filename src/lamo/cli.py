@@ -72,8 +72,7 @@ def _sequence_report(
     exact_through = "unbounded" if horizon is INF else horizon
     shown = len(s.prefix)
     if limit is not None:
-        if limit < 0:
-            raise ParseError(f"--limit must be >= 0, got {limit}")
+        sequences.require_bound(limit, "--limit", least=0)
         shown = limit if horizon is INF else min(limit, int(horizon))
     window = NumberSequence(s.values(shown), s.tail if shown >= len(s.prefix) else Tail.unknown())
     if fmt == "json":

@@ -99,11 +99,13 @@ def _multiple_floors(a: int, b: int, d: int, c: int) -> Iterator[int]:
 
 
 _SPLIT_RE = re.compile(r"\w\s+\w")
-_INT_RE = re.compile(r"([+-]?\d+)")
-_RAT_RE = re.compile(r"([+-]?\d+)/([+-]?\d+)")
-_RAD_RE = re.compile(r"([+-]?)(?:(\d+)\*)?sqrt\((\d+)\)(?:/([+-]?\d+))?")
+_INT_RE = re.compile(r"([+-]?[0-9]+)")
+_RAT_RE = re.compile(r"([+-]?[0-9]+)/([+-]?[0-9]+)")
+_RAD_RE = re.compile(r"([+-]?)(?:([0-9]+)\*)?sqrt\(([0-9]+)\)(?:/([+-]?[0-9]+))?")
 # "(a±b*sqrt(d))/c" with an optional denominator, or "a±b*sqrt(d)" bare.
-_FULL_RE = re.compile(r"(\()?([+-]?\d+)([+-])(?:(\d+)\*)?sqrt\((\d+)\)(?(1)\)(?:/([+-]?\d+))?)")
+_FULL_RE = re.compile(
+    r"(\()?([+-]?[0-9]+)([+-])(?:([0-9]+)\*)?sqrt\(([0-9]+)\)(?(1)\)(?:/([+-]?[0-9]+))?)"
+)
 
 
 @total_ordering
@@ -386,7 +388,8 @@ class ExactNumber:
         """Parse a literal such as ``7``, ``3/2``, ``sqrt(5)`` or
         ``( -1 + sqrt(5) ) / 2``.  Whitespace, spaces and tabs alike, may
         separate tokens but never splits a number or a name (``1 2`` and
-        ``sq rt(2)`` are rejected).  Decimal literals are rejected."""
+        ``sq rt(2)`` are rejected).  Digits are ASCII ``0-9``; decimal
+        literals are rejected."""
         if _SPLIT_RE.search(text):
             raise ParseError(f"whitespace between two digits or letters: {text!r}")
         s = "".join(text.replace("−", "-").split())

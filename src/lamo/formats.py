@@ -2,13 +2,14 @@
 
 Both text forms share one grammar: one token per line, then at most one
 directive line, after which only comments and blank lines may follow.  A
-sequence file holds terms (decimal integers or `inf`) and
+sequence file holds terms (integers or `inf`) and
 `#tail constant <v>` | `#tail infinite` | `#tail unknown` (unknown when
 absent); a set file holds elements and `#horizon <K>` (the last element
 when absent).  A `#` line is the directive only when its first word is
 `#tail` (resp. `#horizon`); every other line starting with `#` is a
-comment, and blank lines are ignored.  The JSON forms mirror the same
-data; numbers that must stay exact travel as literal strings like
+comment, and blank lines are ignored.  Every integer, on a data line or
+a directive, is ASCII digits after an optional `-`.  The JSON forms mirror
+the same data; numbers that must stay exact travel as literal strings like
 `(-1+1*sqrt(5))/2`, never as floats.  The decoders only convert: the rules
 on terms, tails and elements belong to `NumberSequence`, `Tail` and
 `IntSet`, and a value they reject is reported with its line (text) or its
@@ -88,12 +89,21 @@ def _scan(
 def _ints(tokens: list[Any], line: Callable[[int], int], inf: bool = False) -> list[Any]:
     """The tokens, converted in place to ints, and `inf` to INF when allowed.
 
-    In place, so that each string is freed as its value replaces it.
+    In place, so that each string is freed as its value replaces it.  An
+    integer is ASCII digits after an optional `-`; `int()` would also read
+    `1_0`, `+2` and non-ASCII digits, so the joined tokens are tested for
+    those once, before the conversion.
     """
+    joined = "".join(tokens)
     try:
+        if not joined.isascii() or "_" in joined or "+" in joined:
+            raise ValueError
         for i, t in enumerate(tokens):
             tokens[i] = INF if inf and t == "inf" else int(t)
     except ValueError:
+        # The first token that is no integer; those before it may be converted.
+        i = next(i for i, t in enumerate(tokens) if type(t) is str and not (
+            (inf and t == "inf") or (t.isascii() and t.removeprefix("-").isdigit())))
         what = "an integer or 'inf'" if inf else "an integer"
         raise ParseError(f"line {line(i)}: expected {what}, got {tokens[i]!r}") from None
     return tokens

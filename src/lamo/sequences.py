@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import countOf, is_, mul, sub
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -37,6 +39,17 @@ ExtNat = Union[int, float]
 
 def is_extnat(v: object) -> bool:
     return v is INF or (type(v) is int and v >= 0)
+
+
+def _all_extnat(entries: tuple) -> bool:
+    """`is_extnat` of every entry, in C-level passes over the tuple: count the
+    entries of type exactly `int`, then the INF entries if that falls short,
+    then take the least."""
+    n = len(entries)
+    ints = countOf(map(type, entries), int)
+    if ints < n and ints + countOf(map(is_, entries, repeat(INF)), True) < n:
+        return False
+    return min(entries, default=0) >= 0
 
 
 def require_bound(v: object, what: str, least: int = 1) -> None:
@@ -99,9 +112,9 @@ class NumberSequence:
 
     def __init__(self, prefix: Iterable[ExtNat], tail: Tail) -> None:
         entries = tuple(prefix)
-        for v in entries:
-            if not is_extnat(v):
-                raise ValueError(f"sequence entry must be a non-negative int or inf: {v!r}")
+        if not _all_extnat(entries):
+            v = next(v for v in entries if not is_extnat(v))
+            raise ValueError(f"sequence entry must be a non-negative int or inf: {v!r}")
         if not isinstance(tail, Tail):
             raise TypeError("tail must be a Tail")
         if tail.kind == "unknown" and entries and entries[-1] is INF:
@@ -222,15 +235,16 @@ class Verdict:
 
 def check_non_decreasing(s: NumberSequence) -> bool:
     """True iff the prefix is non-decreasing and consistent with the tail."""
+    p = s.prefix
     prev: ExtNat = 0
-    for v in s.prefix:
+    for v in p:
         if v < prev:
             return False
         prev = v
-    t = s.tail
-    if t.kind == "constant":
-        # Constant tails demand a finite sequence bounded by the constant.
-        return all(v is not INF and v <= t.value for v in s.prefix)
+    if s.tail.kind == "constant" and p:
+        # Constant tails demand a finite sequence bounded by the constant:
+        # once the prefix is non-decreasing, its last term (INF exceeds any).
+        return p[-1] <= s.tail.value
     return True
 
 
@@ -241,6 +255,11 @@ def _require_non_decreasing(s: NumberSequence) -> None:
 
 def invert(f: NumberSequence) -> NumberSequence:
     """Counting inverse g(n) = |{m : f(m) < n}|.
+
+    g is built run by run, with no search per term: g(n) = i exactly for
+    f(i) < n <= f(i+1) (reading f(0) as 0), so the value i repeats
+    f(i+1) - f(i) times, and the last finite index N holds from f(N) + 1 to
+    the top of the window.
 
     The output encodes its own exactness window: a constant input tail
     yields a fully determined g (infinite tail), an infinite input tail
@@ -262,7 +281,11 @@ def invert(f: NumberSequence) -> NumberSequence:
     else:
         # Unknown tail: exact exactly for n <= f(N).
         top, tail = run[-1], Tail.unknown()
-    return NumberSequence([bisect_left(run, n) for n in range(1, top + 1)], tail)
+    # The run of i is the tuple (i,) times f(i+1) - f(i), over the bounds
+    # f(0) = 0, f(1), .., f(N), top.
+    bounds = (0, *run, top)
+    runs = map(mul, zip(range(len(run) + 1)), map(sub, bounds[1:], bounds))
+    return NumberSequence(chain.from_iterable(runs), tail)
 
 
 def grid_witness(

@@ -17,12 +17,14 @@ Three more are the slow paths that the integer-only routes replaced:
 `generic_corollary_sets` builds the pair of sets term by term through the
 map, whatever its shape, taking each floor by `bisect_floor`.
 `merge_events` is the simulator's former merge, ordered and grouped on the
-bare exact times.
+bare exact times.  `bisect_invert` is the former counting inverse, one
+`bisect_left` per output term.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from decimal import Decimal, localcontext
 from itertools import groupby
 from operator import itemgetter
@@ -65,6 +67,23 @@ def wythoff_pair(n: int, digits: int = DIGITS) -> tuple[int, int]:
 def counting_inverse(values: list[float], n: int) -> int:
     """|{m : f(m) < n}| by brute enumeration over an explicit finite list."""
     return sum(1 for v in values if v < n)
+
+
+def bisect_invert(f) -> tuple[list[int], tuple]:
+    """The counting inverse of f as (prefix, (tail kind, tail value)), one
+    `bisect_left` over the finite terms per output term.
+
+    The prefix runs to the top of the window: the constant tail value, the
+    last finite term for an infinite or unknown tail (0 with none).  An
+    infinite tail gives a constant tail of the number of finite terms, a
+    constant one an infinite tail.
+    """
+    run = [v for v in f.prefix if v != float("inf")]
+    kind = f.tail.kind
+    top = f.tail.value if kind == "constant" else (run[-1] if run else 0)
+    tail = {"infinite": ("constant", len(run)), "constant": ("infinite", None),
+            "unknown": ("unknown", None)}[kind]
+    return [bisect_left(run, n) for n in range(1, top + 1)], tail
 
 
 def scan_grid_witness(f, g, M: int, N: int):

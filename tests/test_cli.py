@@ -76,7 +76,16 @@ class TestInvert:
     def test_negative_limit_exits_2(self, tmp_path, capsys):
         f = write(tmp_path, "f.txt", SQUARES)
         code, out, err = run(capsys, "invert", f, "--limit", "-1")
-        assert code == 2 and out == "" and "--limit must be >= 0" in err
+        assert code == 2 and out == ""
+        assert err == "lamo: NotPositive: --limit must be a non-negative integer, got -1\n"
+
+    def test_limit_is_checked_like_every_bound(self, tmp_path, capsys):
+        s = write(tmp_path, "s.txt", "1\n3\n#horizon 4\n")
+        code, out, err = run(capsys, "unhat", s, "--limit", "-2")
+        assert code == 2 and out == ""
+        assert err == "lamo: NotPositive: --limit must be a non-negative integer, got -2\n"
+        code, out, _ = run(capsys, "unhat", s, "--limit", "0")
+        assert code == 0 and out == "#tail unknown\n"
 
     def test_json_unknown_tail_with_a_value_exits_2(self, tmp_path, capsys):
         f = write(tmp_path, "f.json", '{"terms":[1,2],"tail":{"kind":"unknown","value":3}}')
@@ -285,6 +294,12 @@ class TestClassify:
             f = write(tmp_path, "c.txt", text)
             code, out, _ = run(capsys, "classify", f)
             assert code == 0 and out.strip() == expected
+
+    def test_misspelled_integer_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1_0\n+2_0\n#tail constant 2_5\n"))
+        code, out, err = run(capsys, "classify", "-")
+        assert (code, out) == (2, "")
+        assert err == "lamo: ParseError: line 1: expected an integer or 'inf', got '1_0'\n"
 
 
 class TestGlobalFlags:

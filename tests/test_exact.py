@@ -328,7 +328,8 @@ class TestParse:
     @pytest.mark.parametrize(
         "bad",
         ["", "1.5", "sqrt(-2)", "1//2", "one", "(1+)/2", "0.25",
-         "1 2", "1\t2", "sq rt(2)", "sqrt(1 0)", "2 sqrt(3)"],
+         "1 2", "1\t2", "sq rt(2)", "sqrt(1 0)", "2 sqrt(3)", "３", "sqrt(２)", "1/٣",
+         "1_0"],
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(ParseError):

@@ -100,6 +100,29 @@ class TestSequenceText:
         with pytest.raises(ParseError, match=f"^line {line}: "):
             parse_sequence_text(text)
 
+    @pytest.mark.parametrize("token", ["1_0", "+2", "３", "1٣", "-+1"])
+    def test_one_integer_spelling(self, token):
+        for text, line, what in [
+            (f"{token}\n5\n#tail constant 9\n", 1, "an integer or 'inf'"),
+            (f"1\n# note\n2\n{token}\n#tail constant 9\n", 4, "an integer or 'inf'"),
+            (f"1\n2\n#tail constant {token}\n", 3, "an integer"),
+        ]:
+            with pytest.raises(ParseError) as e:
+                parse_sequence_text(text)
+            assert str(e.value) == f"line {line}: expected {what}, got {token!r}"
+
+    def test_first_bad_token_is_named(self):
+        with pytest.raises(ParseError, match="^line 2: .* got 'x'$"):
+            parse_sequence_text("1\nx\n1_0\n")
+        with pytest.raises(ParseError, match="^line 2: .* got '1_0'$"):
+            parse_sequence_text("1\n1_0\nx\n")
+
+    def test_digits_with_leading_zeros_or_a_minus(self):
+        assert parse_sequence_text("007\n10\n#tail constant 012\n") == NumberSequence(
+            (7, 10), Tail.constant(12))
+        with pytest.raises(ParseError, match="^line 2: expected a non-negative.* got -3$"):
+            parse_sequence_text("-0\n-3\n")
+
 
 class TestSequenceJson:
     @pytest.mark.parametrize(
@@ -185,6 +208,14 @@ class TestIntSetForms:
     def test_text_error_names_its_line(self, text, line):
         with pytest.raises(ParseError, match=f"^line {line}: "):
             parse_intset(text)
+
+    @pytest.mark.parametrize("token", ["1_0", "+2", "３", "1٣"])
+    def test_one_integer_spelling(self, token):
+        for text, line in [(f"{token}\n20\n", 1), (f"1\n2\n{token}\n", 3),
+                           (f"1\n2\n#horizon {token}\n", 3)]:
+            with pytest.raises(ParseError) as e:
+                parse_intset(text)
+            assert str(e.value) == f"line {line}: expected an integer, got {token!r}"
 
     def test_malformed(self):
         with pytest.raises(ParseError):

@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lamo import (
     INF,
@@ -32,9 +32,10 @@ from lamo.errors import (
     NotPositive,
     NotSorted,
 )
+import lamo.sequences
 
 from gen import mutate_pair
-from oracles import counting_inverse, scan_grid_witness
+from oracles import bisect_invert, counting_inverse, scan_grid_witness
 
 
 def seq(vals, tail):
@@ -93,6 +94,21 @@ class TestValidation:
             seq((-1,), Tail.unknown())
         with pytest.raises(ValueError):
             seq((1.5,), Tail.unknown())
+        # Each bad entry at the first, middle and last place, keeping its message.
+        for bad in (True, -1, 1.5, "3", float("inf")):
+            for at in range(3):
+                terms = [1, 2, INF]
+                terms[at] = bad
+                with pytest.raises(ValueError) as e:
+                    seq(terms, Tail.unknown())
+                assert str(e.value) == f"sequence entry must be a non-negative int or inf: {bad!r}"
+        for bad in (True, -1, 1.5, "3", 0, INF):
+            for at in range(3):
+                elems = [1, 2, 3]
+                elems[at] = bad
+                with pytest.raises(NotPositive) as e:
+                    IntSet(tuple(elems), 5)
+                assert str(e.value) == f"set element must be a positive integer: {bad!r}"
 
 
 class TestValueAt:
@@ -216,6 +232,30 @@ class TestInvert:
         g = invert(f)
         for n in range(1, 6):
             assert g.value_at(n) == counting_inverse([0, 2, 2, 5], n)
+
+    @given(sequences_st(kinds=("constant", "infinite", "unknown")))
+    @example(seq((), Tail.infinite()))
+    @example(seq((), Tail.constant(4)))
+    @example(seq((0, 0, 3, 3, 3, 7), Tail.constant(12)))
+    @example(seq((0, 2, INF, INF), Tail.infinite()))
+    @example(seq((INF,), Tail.unknown()))
+    @example(seq((0, 0, 5), Tail.unknown()))
+    def test_matches_bisect_oracle(self, f):
+        # An unknown tail holds no inf (it would have made the tail infinite).
+        if f.tail.kind == "unknown" and not any(f.prefix):
+            with pytest.raises(EmptyWindow):
+                invert(f)
+            return
+        g = invert(f)
+        prefix, (kind, value) = bisect_invert(f)
+        assert g.prefix == tuple(prefix) and g.tail == Tail(kind, value)
+
+    def test_no_search_per_term(self, monkeypatch):
+        calls = []
+        real = lamo.sequences.bisect_left
+        monkeypatch.setattr(lamo.sequences, "bisect_left", lambda *a: calls.append(a) or real(*a))
+        g = invert(seq(tuple(range(0, 3000, 3)) + (INF,), Tail.infinite()))
+        assert len(g.prefix) == 2997 and len(calls) == 1
 
     @given(sequences_st())
     def test_involution(self, f):
