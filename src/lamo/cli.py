@@ -23,6 +23,7 @@ from typing import Any, Iterable, Optional, Union
 from . import continuous, formats, runner, sequences
 from .errors import CollisionPresent, EmptyWindow, HorizonExceeded, LamoError, ParseError
 from .exact import ExactNumber
+from .formats import integer
 from .sequences import INF, IntSet, NumberSequence, Tail
 
 EXIT_OK = 0
@@ -252,17 +253,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", parents=[common],
                        help="counting inverse g(n) = |{m : f(m) < n}|")
     p.add_argument("input", help="sequence file, '-' for stdin")
-    p.add_argument("--limit", type=int, metavar="N", help="cap on printed sequence terms")
+    p.add_argument("--limit", type=integer, metavar="N", help="cap on printed sequence terms")
 
     p = sub.add_parser("hat", parents=[common],
                        help="the set {n + f(n)} on [1, K]")
     p.add_argument("input", help="sequence file")
-    p.add_argument("K", type=int, help="window bound")
+    p.add_argument("K", type=integer, help="window bound")
 
     p = sub.add_parser("unhat", parents=[common],
                        help="the sequence s_n - n of a set")
     p.add_argument("input", help="set file")
-    p.add_argument("--limit", type=int, metavar="N", help="cap on printed sequence terms")
+    p.add_argument("--limit", type=integer, metavar="N", help="cap on printed sequence terms")
     p.add_argument("--complete", action="store_true",
                    help="the set lists every element, not just a window")
 
@@ -270,14 +271,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="mutual-inverse grid and hat-set complementarity")
     p.add_argument("f", help="sequence file")
     p.add_argument("g", help="sequence file")
-    p.add_argument("M", type=int, help="grid rows (indices of f)")
-    p.add_argument("N", type=int, help="grid columns (indices of g)")
-    p.add_argument("K", type=int, help="complementarity window bound")
+    p.add_argument("M", type=integer, help="grid rows (indices of f)")
+    p.add_argument("N", type=integer, help="grid columns (indices of g)")
+    p.add_argument("K", type=integer, help="complementarity window bound")
 
     p = sub.add_parser("beatty", parents=[common],
                        help="floor((1+lambda)n) and floor((1+1/lambda)n) on [1, K]")
     p.add_argument("lam", metavar="lambda", help="exact slope literal, e.g. '(-1+1*sqrt(5))/2'")
-    p.add_argument("K", type=int, help="window bound")
+    p.add_argument("K", type=integer, help="window bound")
 
     p = sub.add_parser("construct-phi", parents=[common],
                        help="a strictly increasing map with floor(phi(n)) = f(n)")

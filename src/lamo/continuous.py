@@ -5,8 +5,9 @@ an exact (possibly quadratic-irrational) slope, and a piecewise-linear map
 through rational anchor values at t = 1..N with a linear run from the
 origin, continued past N either by extending the last slope or by a
 saturating piecewise-linear approach to a finite limit.  Both shapes answer
-eval, inverse and floor queries exactly, which is all the event simulation
-and the set constructions below ever ask.
+eval and floor queries exactly and walk their level crossings in closed
+form; the inverse is read off that walk, phi^-1(n) being the crossing of
+level n.
 
 `construct_phi` builds, for a finite-valued non-decreasing sequence f, a
 map with floor(phi(n)) = f(n) whose values at integers are never integers;
@@ -30,7 +31,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, takewhile
+from itertools import count, islice, takewhile
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -47,12 +48,15 @@ from .errors import (
 from .exact import Coercible as Timelike, ExactNumber
 from .sequences import (
     INF,
-    ExtNat,
     IntSet,
     NumberSequence,
+    Tail,
     check_non_decreasing,
     require_bound,
 )
+
+
+LevelTimes = Iterator[tuple[int, ExactNumber]]
 
 
 def _fraction(x: Timelike, what: str) -> Fraction:
@@ -71,27 +75,14 @@ class MonotoneMap:
     def eval(self, t: Timelike) -> ExactNumber:
         raise NotImplementedError
 
-    def inverse_eval(self, y: Timelike) -> ExactNumber:
-        raise NotImplementedError
-
-    def image_sup(self) -> Optional[ExactNumber]:
-        """Supremum M of the open image (0, M); None when unbounded."""
-        raise NotImplementedError
-
-    def level_times(self, shift: int, until: Timelike) -> Iterator[tuple[int, ExactNumber]]:
-        """(k, t_k) for k = 1, 2, .. with phi(t_k) + shift*t_k = k and t_k <= until.
+    def level_times(self, shift: int, until: Optional[Timelike] = None) -> LevelTimes:
+        """(k, t_k) for k = 1, 2, .. with phi(t_k) + shift*t_k = k and t_k <= until,
+        lazily; with until None the stream has no bound and may be endless.
 
         Shift 0 gives the origin crossings of phi, ending where a bounded
         open image ends; shift 1 gives the meetings of phi(t) and t.
         """
         raise NotImplementedError
-
-    def image_contains(self, y: Timelike) -> bool:
-        e = ExactNumber.coerce(y)
-        if e.sign() <= 0:
-            return False
-        m = self.image_sup()
-        return m is None or e.compare(m) < 0
 
 
 class LinearMap(MonotoneMap):
@@ -117,16 +108,14 @@ class LinearMap(MonotoneMap):
             raise OutsideImage(f"{e} is outside the image (0, oo)")
         return e / self.slope
 
-    def level_times(self, shift: int, until: Timelike) -> Iterator[tuple[int, ExactNumber]]:
+    def level_times(self, shift: int, until: Optional[Timelike] = None) -> LevelTimes:
         rate = self.slope + shift
         step = rate.reciprocal()
         a, b, d, c = step.a, step.b, step.d, step.c
         # k/rate <= until iff k <= floor(rate*until), so one floor bounds the stream.
-        for k in range(1, (rate * ExactNumber.coerce(until)).floor() + 1):
+        ks = count(1) if until is None else range(1, (rate * ExactNumber.coerce(until)).floor() + 1)
+        for k in ks:
             yield k, ExactNumber._new(a * k, b * k, d, c)
-
-    def image_sup(self) -> Optional[ExactNumber]:
-        return None
 
     def __repr__(self) -> str:
         return f"LinearMap({self.slope!r})"
@@ -221,15 +210,15 @@ class PiecewiseMap(MonotoneMap):
         t = (j - 1) + (w - lo) / (hi - lo)
         return ExactNumber.from_fraction(t)
 
-    def level_times(self, shift: int, until: Timelike) -> Iterator[tuple[int, ExactNumber]]:
+    def level_times(self, shift: int, until: Optional[Timelike] = None) -> LevelTimes:
         # On the piece [j-1, j], phi(t) + shift*t runs linearly from lo to hi
         # and passes each integer k in (lo, hi] once.
-        end = ExactNumber.coerce(until)
-        last = end.floor() + 1  # the piece holding `until`
+        end = None if until is None else ExactNumber.coerce(until)
+        last = math.inf if end is None else end.floor() + 1  # the piece holding `until`
         lo = Fraction(0)
-        for j in range(1, last + 1):
+        for j in count(1):
             first = math.floor(lo) + 1
-            if shift == 0 and self.limit is not None and first >= self.limit:
+            if j > last or shift == 0 and self.limit is not None and first >= self.limit:
                 return
             hi = self.anchor(j) + shift * j
             width = hi - lo
@@ -241,11 +230,6 @@ class PiecewiseMap(MonotoneMap):
             for k in range(first, top + 1):
                 yield k, ExactNumber._new((j - 1) * w + (k * ld - ln) * wd, 0, 0, w)
             lo = hi
-
-    def image_sup(self) -> Optional[ExactNumber]:
-        if self.limit is None:
-            return None
-        return ExactNumber.from_fraction(self.limit)
 
     def __repr__(self) -> str:
         tail = f", saturation_limit={self.limit!r}" if self.limit is not None else ""
@@ -283,7 +267,8 @@ def lattice_avoidance(phi: MonotoneMap, N: int) -> Avoidance:
         q = phi.slope.c
         return Avoidance(N, q) if phi.slope.is_rational and q <= N else Avoidance(N)
     for n in range(1, N + 1):
-        if phi.eval(n).is_integer():
+        # At an integer n, phi(n) is the anchor.
+        if phi.anchor(n).denominator == 1:
             return Avoidance(N, n)
     return Avoidance(N)
 
@@ -345,12 +330,16 @@ def construct_phi(f: NumberSequence) -> PiecewiseMap:
     return PiecewiseMap(anchors)
 
 
-def induced_inverse(phi: MonotoneMap, n: int) -> ExtNat:
-    """floor(phi^-1(n)) when n is in the image of phi, INF otherwise."""
-    require_bound(n, "index")
-    if not phi.image_contains(n):
-        return INF
-    return phi.inverse_eval(n).floor()
+def induced_inverse(phi: MonotoneMap, K: int) -> NumberSequence:
+    """Window [1, K] of g(n) = floor(phi^-1(n)), INF for n outside the image.
+
+    phi^-1(n) is the crossing of level n, so one walk of `level_times(0)`
+    gives the window.  The tail is infinite when a bounded image ends the
+    walk inside the window, and unknown otherwise.
+    """
+    require_bound(K, "window bound")
+    g = [t.floor() for _, t in islice(phi.level_times(0), K)]
+    return NumberSequence(g, Tail.infinite() if len(g) < K else Tail.unknown())
 
 
 def beatty_pair(lam: Timelike, K: int) -> tuple[IntSet, IntSet]:

@@ -86,24 +86,28 @@ def _scan(
     return tokens, lambda i: i + 1 + bisect_right(skipped, i), args
 
 
+def integer(token: str) -> int:
+    """The token as an int if it is ASCII digits after an optional `-`, the one
+    integer spelling of text files and arguments; ValueError otherwise."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def _ints(tokens: list[Any], line: Callable[[int], int], inf: bool = False) -> list[Any]:
     """The tokens, converted in place to ints, and `inf` to INF when allowed.
 
-    In place, so that each string is freed as its value replaces it.  An
-    integer is ASCII digits after an optional `-`; `int()` would also read
-    `1_0`, `+2` and non-ASCII digits, so the joined tokens are tested for
-    those once, before the conversion.
+    In place, so that each string is freed as its value replaces it.  `int()`
+    would also read `1_0`, `+2` and non-ASCII digits; when the joined tokens
+    hold none of those, it reads exactly `integer`'s spelling, at less cost.
     """
     joined = "".join(tokens)
+    read = int if joined.isascii() and "_" not in joined and "+" not in joined else integer
     try:
-        if not joined.isascii() or "_" in joined or "+" in joined:
-            raise ValueError
         for i, t in enumerate(tokens):
-            tokens[i] = INF if inf and t == "inf" else int(t)
+            tokens[i] = INF if inf and t == "inf" else read(t)
     except ValueError:
-        # The first token that is no integer; those before it may be converted.
-        i = next(i for i, t in enumerate(tokens) if type(t) is str and not (
-            (inf and t == "inf") or (t.isascii() and t.removeprefix("-").isdigit())))
+        # The first token that is no integer; those before it are converted.
         what = "an integer or 'inf'" if inf else "an integer"
         raise ParseError(f"line {line(i)}: expected {what}, got {tokens[i]!r}") from None
     return tokens

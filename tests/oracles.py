@@ -1,8 +1,9 @@
 """Independent numeric oracles used to cross-check the exact kernel.
 
-Everything here deliberately shares no code with the package under test.
-The decimal oracles go through the stdlib `decimal` module at high
-precision; they are advisory: where they and the exact route disagree, the
+Everything here deliberately shares no code with the package under test,
+apart from the error class `OutsideImage` that marks a point outside a
+map's image.  The decimal oracles go through the stdlib `decimal` module at
+high precision; they are advisory: where they and the exact route disagree, the
 exact route is authoritative, and the tests treat any disagreement as a
 failure to be investigated rather than auto-resolved.  `bisect_floor` uses
 integers only and is exact for every input.  `bisect_meeting_time` is the
@@ -18,7 +19,9 @@ Three more are the slow paths that the integer-only routes replaced:
 map, whatever its shape, taking each floor by `bisect_floor`.
 `merge_events` is the simulator's former merge, ordered and grouped on the
 bare exact times.  `bisect_invert` is the former counting inverse, one
-`bisect_left` per output term.
+`bisect_left` per output term.  `pointwise_induced_inverse` is the map
+route's former inverse, one `inverse_eval` per index instead of one walk
+over the crossings.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from bisect import bisect_left
 from decimal import Decimal, localcontext
 from itertools import groupby
 from operator import itemgetter
+
+from lamo.errors import OutsideImage
 
 DIGITS = 100
 
@@ -194,6 +199,14 @@ def generic_corollary_sets(phi, K: int) -> tuple[list[int], list[int]]:
             break
         s_x.append(v)
     return s_y, s_x
+
+
+def pointwise_induced_inverse(phi, n: int):
+    """floor(phi^-1(n)) when n is in the image of phi, inf otherwise."""
+    try:
+        return phi.inverse_eval(n).floor()
+    except OutsideImage:
+        return float("inf")
 
 
 def merge_events(phi, T) -> list[tuple]:

@@ -303,6 +303,20 @@ class TestClassify:
 
 
 class TestGlobalFlags:
+    @pytest.mark.parametrize("argv, bad", [
+        (["hat", "{f}", "1_0"], "1_0"),
+        (["invert", "{f}", "--limit", "２"], "２"),
+        (["beatty", "sqrt(2)", "+1_0"], "+1_0"),
+        (["check", "{f}", "{f}", "2", "+2", "3"], "+2"),
+    ])
+    def test_integer_arguments_have_one_spelling(self, tmp_path, capsys, argv, bad):
+        f = write(tmp_path, "z.txt", "0\n0\n2\n#tail constant 3\n")
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(f=f) for a in argv])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert f"invalid integer value: {bad!r}" in out.err
+
     def test_env_format_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("LAMO_FORMAT", "json")
         f = write(tmp_path, "f.txt", BOUNDED)

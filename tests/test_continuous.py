@@ -34,7 +34,12 @@ from lamo.errors import (
 from lamo.exact import ExactNumber
 
 from gen import random_rational_map, random_sequence
-from oracles import generic_corollary_sets, scan_lattice_avoidance, wythoff_pair
+from oracles import (
+    generic_corollary_sets,
+    pointwise_induced_inverse,
+    scan_lattice_avoidance,
+    wythoff_pair,
+)
 
 GOLDEN = ExactNumber(-1, 1, 5, 2)
 SQRT2 = ExactNumber.sqrt(2)
@@ -125,11 +130,6 @@ class TestInverseEval:
     def test_saturating_tail_inversion(self):
         t = SAT3.inverse_eval(Fraction(3) - Fraction(1, 11))
         assert t == ExactNumber(10)
-
-    def test_image_contains(self):
-        assert LinearMap(SQRT2).image_contains(1000)
-        assert not SAT3.image_contains(3)
-        assert SAT3.image_contains(2)
 
     @given(map_seeds, times)
     @settings(max_examples=80)
@@ -255,7 +255,7 @@ class TestConstructPhi:
         phi = construct_phi(NumberSequence((0,), Tail.constant(0)))
         assert phi.eval(1) == Fraction(1, 2)
         assert phi.limit == 1
-        assert not phi.image_contains(1)
+        assert induced_inverse(phi, 1).value_at(1) is INF
 
     def test_unknown_tail_anchors(self):
         phi = construct_phi(NumberSequence((1, 4, 9), Tail.unknown()))
@@ -308,9 +308,20 @@ class TestConstructPhi:
 
 class TestInducedInverse:
     def test_sat3_values(self):
-        assert induced_inverse(SAT3, 1) == 0
-        assert induced_inverse(SAT3, 2) == 2
-        assert induced_inverse(SAT3, 3) is INF
+        assert induced_inverse(SAT3, 1) == NumberSequence((0,), Tail.unknown())
+        assert induced_inverse(SAT3, 2) == NumberSequence((0, 2), Tail.unknown())
+        # 3 is the limit of SAT3's image, so the walk ends inside the window.
+        assert induced_inverse(SAT3, 3) == NumberSequence((0, 2), Tail.infinite())
+
+    @given(st.one_of(map_seeds.map(lambda s: random_rational_map(random.Random(s))),
+                     linear_slopes(max_q=30).map(LinearMap)), st.integers(1, 60))
+    @settings(max_examples=160)
+    def test_matches_pointwise_oracle(self, phi, K):
+        # A saturating map stays below 10, so K often passes its image.
+        h = induced_inverse(phi, K)
+        assert [h.value_at(n) for n in range(1, K + 1)] == [
+            pointwise_induced_inverse(phi, n) for n in range(1, K + 1)
+        ]
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=60)
@@ -320,8 +331,9 @@ class TestInducedInverse:
         phi = construct_phi(f)
         g = invert(f)
         assert f.tail.value is not None
+        h = induced_inverse(phi, f.tail.value + 2)
         for n in range(1, f.tail.value + 3):
-            assert induced_inverse(phi, n) == g.value_at(n)
+            assert h.value_at(n) == g.value_at(n)
 
 
 class TestBeatty:

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,14 @@ class TestSequenceText:
             parse_sequence_text("1\nx\n1_0\n")
         with pytest.raises(ParseError, match="^line 2: .* got '1_0'$"):
             parse_sequence_text("1\n1_0\nx\n")
+
+    def test_integer_past_the_digit_limit(self):
+        # int() refuses a decimal string longer than this, so the term is no integer.
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not digits:
+            pytest.skip("this interpreter has no limit on integer string length")
+        with pytest.raises(ParseError, match="^line 2: expected an integer or 'inf', got '11"):
+            parse_sequence_text("1\n" + "1" * (digits + 1) + "\n")
 
     def test_digits_with_leading_zeros_or_a_minus(self):
         assert parse_sequence_text("007\n10\n#tail constant 012\n") == NumberSequence(

@@ -22,7 +22,7 @@ from lamo import (
 )
 from lamo import continuous
 from lamo.continuous import PiecewiseMap
-from lamo.errors import NonPositiveTime
+from lamo.errors import NonPositiveTime, OutsideImage
 from lamo.exact import ExactNumber
 from lamo.runner import COLLISION, MEETING, X_CROSSING, Y_CROSSING
 
@@ -54,9 +54,13 @@ def oracle_crossings(phi, T):
     """[(j, phi^-1(j))] for every integer j in the image crossed by time T."""
     out = []
     for j in itertools.count(1):
-        if not phi.image_contains(j) or phi.inverse_eval(j) > T:
+        try:
+            t = phi.inverse_eval(j)
+        except OutsideImage:
             return out
-        out.append((j, phi.inverse_eval(j)))
+        if t > T:
+            return out
+        out.append((j, t))
 
 
 @st.composite
@@ -103,6 +107,20 @@ class TestLevelTimes:
         phi = LinearMap(slope)
         assert list(phi.level_times(1, T)) == oracle_meetings(phi, T)
         assert list(phi.level_times(0, T)) == oracle_crossings(phi, T)
+
+    @given(st.one_of(map_seeds.map(lambda s: random_rational_map(random.Random(s))),
+                     quadratic_slopes().map(LinearMap)), horizons, st.sampled_from((0, 1)))
+    @settings(max_examples=120, deadline=None)
+    def test_unbounded_walk_extends_bounded(self, phi, T, shift):
+        bounded = list(phi.level_times(shift, T))
+        walk = phi.level_times(shift)
+        assert list(itertools.islice(walk, len(bounded))) == bounded
+        # Only the crossings of a bounded image end; what follows lies past T.
+        assert all(t > T for _, t in itertools.islice(walk, 1))
+
+    def test_unbounded_crossings_end_below_a_fractional_limit(self):
+        phi = PiecewiseMap([Fraction(1, 2)], saturation_limit=Fraction(5, 2))
+        assert [k for k, _ in phi.level_times(0)] == [1, 2]
 
     def test_meeting_exactly_at_horizon_is_kept(self):
         phi = LinearMap(SQRT2)

@@ -151,7 +151,7 @@ BOUND_SITES = {
                             "window bound"),
     "lattice_avoidance": (lambda v: lattice_avoidance(LinearMap(2), v), "scan bound"),
     "corollary_sets": (lambda v: corollary_sets(LinearMap(2), v), "window bound"),
-    "induced_inverse": (lambda v: induced_inverse(LinearMap(2), v), "index"),
+    "induced_inverse": (lambda v: induced_inverse(LinearMap(2), v), "window bound"),
 }
 
 
