@@ -72,9 +72,6 @@ def _fraction(x: Timelike, what: str) -> Fraction:
 class MonotoneMap:
     """Strictly increasing continuous map on (0, oo) with exact queries."""
 
-    def eval(self, t: Timelike) -> ExactNumber:
-        raise NotImplementedError
-
     def level_times(self, shift: int, until: Optional[Timelike] = None) -> LevelTimes:
         """(k, t_k) for k = 1, 2, .. with phi(t_k) + shift*t_k = k and t_k <= until,
         lazily; with until None the stream has no bound and may be endless.
@@ -251,12 +248,6 @@ class Avoidance:
         if self.holds:
             return f"holds through {self.checked_through}"
         return f"violation({self.violation})"
-
-
-def meeting_count(phi: MonotoneMap, t: Timelike) -> int:
-    """floor(phi(t) + t), the number of meetings of the two motions by time t."""
-    e = ExactNumber.coerce(t)
-    return (phi.eval(e) + e).floor()
 
 
 def lattice_avoidance(phi: MonotoneMap, N: int) -> Avoidance:

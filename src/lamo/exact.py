@@ -29,10 +29,9 @@ Results whose fields are already in range go through the internal
 constructor `ExactNumber._new(a, b, d, c)`: it takes c >= 1 and a radicand
 known to be non-square whenever b != 0, keeps the gcd reduction, and skips the
 type checks and the perfect-square test of `ExactNumber(...)`.  Arithmetic
-and the closed-form level times build through it.  The form is canonical,
-so `==` on two values over the same radicand, or with either rational, is
-equality of the fields; only compatible but differently written radicands,
-such as sqrt(2) and sqrt(8), go through `compare`.
+and the closed-form level times build through it.  `==` is `compare`'s
+verdict, so sqrt(8) == 2*sqrt(2); values over incompatible radicands are
+unequal.
 
 An exact value is an ExactNumber, a Fraction or an int of type exactly `int`
 (never a bool); `ExactNumber.coerce` converts one or raises TypeError.
@@ -246,9 +245,6 @@ class ExactNumber:
         o = other if isinstance(other, ExactNumber) else self._coerce(other)  # type: ignore
         if o is None:
             return NotImplemented
-        if self._d == o._d or self._b == 0 or o._b == 0:
-            # One radicand: the canonical fields are equal iff the reals are.
-            return self._a == o._a and self._b == o._b and self._c == o._c
         try:
             return self.compare(o) == 0
         except IncompatibleRadicands:
@@ -397,21 +393,25 @@ class ExactNumber:
             raise ParseError("empty numeric literal")
         if "." in s:
             raise ParseError(f"decimal literals are not accepted: {text!r}")
-        if _INT_RE.fullmatch(s):
-            return cls(int(s))
-        m = _RAT_RE.fullmatch(s)
-        if m:
-            return cls.rational(int(m.group(1)), int(m.group(2)))
-        m = _RAD_RE.fullmatch(s)
-        if m:
-            sgn, coef, rad, den = m.groups()
-            b = (-1 if sgn == "-" else 1) * (int(coef) if coef else 1)
-            return cls(0, b, int(rad), int(den) if den else 1)
-        m = _FULL_RE.fullmatch(s)
-        if m:
-            _, a, sgn, coef, rad, den = m.groups()
-            b = (-1 if sgn == "-" else 1) * (int(coef) if coef else 1)
-            return cls(int(a), b, int(rad), int(den) if den else 1)
+        try:
+            if _INT_RE.fullmatch(s):
+                return cls(int(s))
+            m = _RAT_RE.fullmatch(s)
+            if m:
+                return cls.rational(int(m.group(1)), int(m.group(2)))
+            m = _RAD_RE.fullmatch(s)
+            if m:
+                sgn, coef, rad, den = m.groups()
+                b = (-1 if sgn == "-" else 1) * (int(coef) if coef else 1)
+                return cls(0, b, int(rad), int(den) if den else 1)
+            m = _FULL_RE.fullmatch(s)
+            if m:
+                _, a, sgn, coef, rad, den = m.groups()
+                b = (-1 if sgn == "-" else 1) * (int(coef) if coef else 1)
+                return cls(int(a), b, int(rad), int(den) if den else 1)
+        except ValueError as e:
+            # int() refuses more digits than the interpreter's string limit.
+            raise ParseError(f"cannot parse exact literal: {e}") from None
         raise ParseError(f"cannot parse exact literal: {text!r}")
 
     def __str__(self) -> str:

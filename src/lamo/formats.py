@@ -44,7 +44,7 @@ def _rational_literal(text: Union[str, int], what: str) -> Fraction:
 def _json(text: str, what: str = "JSON") -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer past int()'s digit limit
         raise ParseError(f"bad {what}: {e}") from None
 
 
@@ -271,7 +271,7 @@ def map_from_json(obj: Any) -> MonotoneMap:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise ParseError(f"anchor {i}: expected a [t, value] pair")
             t, v = entry
-            if t != i:
+            if type(t) is not int or t != i:
                 raise ParseError(f"anchor {i}: grid points must run 1..N, got t={t!r}")
             values.append(_rational_literal(v, f"anchor {i} value"))
         tail_raw = obj.get("tail", {"kind": "extend"})

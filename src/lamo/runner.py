@@ -24,10 +24,10 @@ The merge compares whole (prefix, t, kind) items; two of them agree in
 prefix and time only at a collision, where the kind breaks the tie inside
 a group that becomes one event anyway.
 
-The counts come from the merge alone and never from the set formulas in
-`continuous` (such as `meeting_count`), so the two routes stay independent:
-they are compared against each other in the tests, not derived from one
-another.
+The counts come from the merge alone, never from the formula
+floor(phi(t) + t) or the set formulas in `continuous`, so the routes stay
+independent: they are compared against each other in the tests, not
+derived from one another.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import CollisionPresent, NonPositiveTime
 from .exact import ExactNumber
@@ -51,14 +52,10 @@ COLLISION = "collision"
 _SCALE = 2**32
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     time: ExactNumber
     kind: str
     count: int
-
-    def __str__(self) -> str:
-        return f"t={self.time} {self.kind} count={self.count}"
 
 
 @dataclass(frozen=True)
@@ -68,9 +65,6 @@ class EventLog:
 
     def collisions(self) -> tuple[Event, ...]:
         return tuple(e for e in self.events if e.kind == COLLISION)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 def simulate(phi: MonotoneMap, T: Timelike) -> EventLog:

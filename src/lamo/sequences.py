@@ -311,13 +311,6 @@ def grid_witness(
     return None
 
 
-def mutually_inverse_on_window(
-    f: NumberSequence, g: NumberSequence, M: int, N: int
-) -> bool:
-    """True iff exactly one of f(m) < n, g(n) < m holds on all of [1,M]x[1,N]."""
-    return grid_witness(f, g, M, N) is None
-
-
 def hat_horizon(f: NumberSequence) -> ExtNat:
     """Largest K for which hat(f, K) is answerable."""
     if f.tail.kind != "unknown":

@@ -1,16 +1,23 @@
 """Independent numeric oracles used to cross-check the exact kernel.
 
-Everything here deliberately shares no code with the package under test,
-apart from the error class `OutsideImage` that marks a point outside a
-map's image.  The decimal oracles go through the stdlib `decimal` module at
-high precision; they are advisory: where they and the exact route disagree, the
-exact route is authoritative, and the tests treat any disagreement as a
-failure to be investigated rather than auto-resolved.  `bisect_floor` uses
-integers only and is exact for every input.  `bisect_meeting_time` is the
-simulator's former meeting solver, kept as the slow path that the
-closed-form `level_times` streams are checked against; it asks the map only
-for `eval` at integer points.  `scan_grid_witness` is the former window
-check, which tests every pair of the window instead of counting.
+Everything here deliberately shares no algorithm with the package under
+test, and imports from it only the error class `OutsideImage` that marks a
+point outside a map's image.  Still, `bisect_meeting_time`,
+`meeting_count`, `scan_lattice_avoidance`, `generic_corollary_sets`,
+`pointwise_induced_inverse` and `merge_events` take a map and call its own
+`eval`, `inverse_eval` or `level_times`, and work with the `ExactNumber`
+values it returns.  The decimal oracles go through the stdlib `decimal`
+module at high precision; they are advisory: where they and the exact
+route disagree, the exact route is authoritative, and the tests treat any
+disagreement as a failure to be investigated rather than auto-resolved.
+`bisect_floor` uses integers only and is exact for every input.
+`bisect_meeting_time` is the simulator's former meeting solver, kept as
+the slow path that the closed-form `level_times` streams are checked
+against; it asks the map only for `eval` at integer points.
+`meeting_count` is the formula floor(phi(t) + t) for the number of
+meetings by time t, which the simulator's counts are checked against.
+`scan_grid_witness` is the former window check, which tests every pair of
+the window instead of counting.
 
 Three more are the slow paths that the integer-only routes replaced:
 `scan_lattice_avoidance` evaluates a map at every point of the window,
@@ -160,6 +167,12 @@ def bisect_meeting_time(phi, k: int):
     slope = phi.eval(hi) - y_lo
     # On [lo, hi]: phi(t) + t = y_lo + lo + (t - lo)(slope + 1).
     return lo + (k - (y_lo + lo)) / (slope + 1)
+
+
+def meeting_count(phi, t) -> int:
+    """floor(phi(t) + t), the number of meetings of the two motions by time t."""
+    x = phi.eval(t) + t
+    return bisect_floor(x.a, x.b, x.d, x.c)
 
 
 def scan_lattice_avoidance(phi, N: int):

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 
@@ -72,6 +73,17 @@ class TestInvert:
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "invert", "/nonexistent/f.txt")
         assert code == 2 and "cannot read" in err
+
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, monkeypatch):
+        f = tmp_path / "bad.txt"
+        f.write_bytes(b"\xff\n")
+        code, out, err = run(capsys, "classify", str(f))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"lamo: ParseError: cannot read {f}: 'utf-8' codec can't decode")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"))
+        code, out, err = run(capsys, "classify", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("lamo: ParseError: cannot read -: 'utf-8' codec can't decode")
 
     def test_negative_limit_exits_2(self, tmp_path, capsys):
         f = write(tmp_path, "f.txt", SQUARES)
@@ -283,6 +295,13 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", phi, "3")
         assert code == 2 and "ParseError" in err
 
+    @pytest.mark.parametrize("t", ["true", "1.0"])
+    def test_anchor_grid_point_must_be_an_int(self, capsys, t):
+        phi = f'{{"kind":"piecewise","anchors":[[{t},"1/3"]],"tail":{{"kind":"saturate","limit":"1"}}}}'
+        code, out, err = run(capsys, "simulate", phi, "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("lamo: ParseError: anchor 1: grid points must run 1..N")
+
 
 class TestClassify:
     def test_classes(self, tmp_path, capsys):
@@ -316,6 +335,25 @@ class TestGlobalFlags:
         out = capsys.readouterr()
         assert exc.value.code == 2 and out.out == ""
         assert f"invalid integer value: {bad!r}" in out.err
+
+    @pytest.mark.parametrize("argv, stdin", [
+        (["beatty", "{n}", "3"], ""),
+        (["beatty", "sqrt({n})/2", "3"], ""),
+        (["simulate", '{{"kind":"linear","lambda":"sqrt(2)"}}', "{n}/2"], ""),
+        (["simulate", '{{"kind":"linear","lambda":"{n}/3"}}', "2"], ""),
+        (["simulate", '{{"kind":"piecewise","anchors":[[1,"1/{n}"]]}}', "2"], ""),
+        (["classify", "-"], '{{"terms": [{n}]}}'),
+    ], ids=["slope", "radicand", "horizon", "map_slope", "map_anchor", "json_term"])
+    def test_integer_past_the_digit_limit_exits_2(self, capsys, monkeypatch, argv, stdin):
+        # int() and json.loads refuse a decimal string longer than this.
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not digits:
+            pytest.skip("this interpreter has no limit on integer string length")
+        n = "1" * (digits + 1)
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin.format(n=n)))
+        code, out, err = run(capsys, *(a.format(n=n) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("lamo: ParseError: ")
 
     def test_env_format_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("LAMO_FORMAT", "json")

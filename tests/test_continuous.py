@@ -19,7 +19,6 @@ from lamo import (
     induced_inverse,
     invert,
     lattice_avoidance,
-    meeting_count,
 )
 from lamo.errors import (
     EmptyWindow,
@@ -36,6 +35,7 @@ from lamo.exact import ExactNumber
 from gen import random_rational_map, random_sequence
 from oracles import (
     generic_corollary_sets,
+    meeting_count,
     pointwise_induced_inverse,
     scan_lattice_avoidance,
     wythoff_pair,

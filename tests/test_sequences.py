@@ -22,7 +22,6 @@ from lamo import (
     induced_inverse,
     invert,
     lattice_avoidance,
-    mutually_inverse_on_window,
 )
 from lamo.errors import (
     EmptyWindow,
@@ -278,17 +277,16 @@ class TestGrid:
     def test_shifted_identity(self):
         f = seq(tuple(range(1, 21)), Tail.unknown())
         g = seq(tuple(range(0, 20)), Tail.unknown())
-        assert mutually_inverse_on_window(f, g, 10, 10)
+        assert grid_witness(f, g, 10, 10) is None
 
     def test_all_inf_vs_all_zero(self):
         f = seq((INF,), Tail.infinite())
         g = seq((0,), Tail.constant(0))
-        assert mutually_inverse_on_window(f, g, 5, 5)
+        assert grid_witness(f, g, 5, 5) is None
 
     def test_identity_fails_against_itself(self):
         f = seq((1, 2, 3), Tail.unknown())
         assert grid_witness(f, f, 3, 3) == (1, 1, "neither")
-        assert not mutually_inverse_on_window(f, f, 3, 3)
 
     def test_both_witness_kind(self):
         f = seq((0, 0), Tail.unknown())
@@ -298,7 +296,7 @@ class TestGrid:
     def test_window_beyond_horizon(self):
         f = seq((1, 2), Tail.unknown())
         with pytest.raises(HorizonExceeded):
-            mutually_inverse_on_window(f, f, 3, 3)
+            grid_witness(f, f, 3, 3)
 
     def test_neither_in_a_later_row(self):
         f = seq((1, 2, 3), Tail.unknown())
@@ -315,7 +313,7 @@ class TestGrid:
         with pytest.raises(NotNonDecreasing):
             grid_witness(f, seq((2, 1), Tail.unknown()), 2, 2)
         with pytest.raises(NotNonDecreasing):
-            mutually_inverse_on_window(f, seq((2, 1), Tail.unknown()), 3, 3)
+            grid_witness(f, seq((2, 1), Tail.unknown()), 3, 3)
 
     @given(grid_cases())
     @settings(max_examples=400)
@@ -326,7 +324,7 @@ class TestGrid:
     @settings(max_examples=60)
     def test_inverse_pairs_pass(self, f):
         g = invert(f)
-        assert mutually_inverse_on_window(f, g, 15, 15)
+        assert grid_witness(f, g, 15, 15) is None
 
 
 class TestHat:
