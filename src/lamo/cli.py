@@ -24,7 +24,7 @@ from . import continuous, formats, runner, sequences
 from .errors import CollisionPresent, EmptyWindow, HorizonExceeded, LamoError, ParseError
 from .exact import ExactNumber
 from .formats import integer
-from .sequences import INF, IntSet, NumberSequence, Tail
+from .sequences import INF, IntSet, NumberSequence
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -64,22 +64,15 @@ def _render(report: Report) -> str:
     return buf.getvalue()
 
 
-def _sequence_report(
-    s: NumberSequence, fmt: str, limit: Optional[int], note_horizon: bool
-) -> Report:
-    horizon = s.determined_horizon()
+def _sequence_report(s: NumberSequence, fmt: str, horizon: Any, note_horizon: bool) -> Report:
+    """The window s of a sequence whose own horizon is `horizon`."""
     exact_through = "unbounded" if horizon is INF else horizon
-    shown = len(s.prefix)
-    if limit is not None:
-        sequences.require_bound(limit, "--limit", least=0)
-        shown = limit if horizon is INF else min(limit, int(horizon))
-    window = NumberSequence(s.values(shown), s.tail if shown >= len(s.prefix) else Tail.unknown())
     if fmt == "json":
-        return {**formats.sequence_to_json(window), "exact_through": exact_through}
+        return {**formats.sequence_to_json(s), "exact_through": exact_through}
     if fmt == "csv":
-        rows = ([n, "inf" if v is INF else v] for n, v in enumerate(window.prefix, start=1))
+        rows = ([n, "inf" if v is INF else v] for n, v in enumerate(s.prefix, start=1))
         return ["n", "value"], rows
-    text = formats.render_sequence_text(window)
+    text = formats.render_sequence_text(s)
     return f"# exact through: {exact_through}\n{text}" if note_horizon else text
 
 
@@ -88,8 +81,8 @@ def _sequence_report(
 
 def _cmd_invert(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
     f = formats.parse_sequence(_read_input(args.input))
-    g = sequences.invert(f)
-    return _sequence_report(g, fmt, args.limit, note_horizon=True), EXIT_OK
+    g = sequences.invert(f, args.limit)
+    return _sequence_report(g, fmt, sequences.inverse_horizon(f), note_horizon=True), EXIT_OK
 
 
 def _cmd_hat(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
@@ -105,7 +98,8 @@ def _cmd_hat(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
 def _cmd_unhat(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
     s = formats.parse_intset(_read_input(args.input))
     f = sequences.from_set(s, complete=args.complete)
-    return _sequence_report(f, fmt, args.limit, note_horizon=False), EXIT_OK
+    window = f.window(args.limit)
+    return _sequence_report(window, fmt, f.determined_horizon(), note_horizon=False), EXIT_OK
 
 
 def _cmd_check(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
@@ -306,6 +300,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if fmt not in ("text", "json", "csv"):
             raise ParseError(f"unknown output format {fmt!r}")
+        if getattr(args, "limit", None) is not None:
+            sequences.require_bound(args.limit, "--limit", least=0)
         report, code = cmd(args, fmt)
     except LamoError as e:
         print(f"lamo: {e.__class__.__name__}: {e}", file=sys.stderr)

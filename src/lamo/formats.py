@@ -44,7 +44,7 @@ def _rational_literal(text: Union[str, int], what: str) -> Fraction:
 def _json(text: str, what: str = "JSON") -> Any:
     try:
         return json.loads(text)
-    except ValueError as e:  # a JSONDecodeError, or an integer past int()'s digit limit
+    except (ValueError, RecursionError) as e:  # bad JSON, too many digits, or too deep
         raise ParseError(f"bad {what}: {e}") from None
 
 
@@ -55,20 +55,37 @@ def _decode(text: str, from_json: Callable[[Any], Any], from_text: Callable[[str
     return from_text(text)
 
 
-def _scan(
-    text: str, directive: str
-) -> tuple[list[str], Callable[[int], int], Optional[list[str]]]:
-    """The data lines of a text file, the line number of each, and the
-    arguments of its directive (None when it has none).
+def _plain(text: str) -> bool:  # does int() read only `integer`'s spelling in it?
+    return text.isascii() and "_" not in text and "+" not in text
 
-    `line(i)` is the line of data line i, and `line(len(tokens))` that of
-    the directive.  Only the blank and comment lines are recorded, so the
-    numbers cost no memory on a file without them.
+
+def _scan(
+    text: str, directive: str, inf: bool = False
+) -> tuple[list[Any], Callable[[int], int], Optional[list[str]]]:
+    """The values of the data lines of a text file, converted by `_ints`, the
+    line number of each, and the arguments of its directive (None when it
+    has none).
+
+    `line(i)` is the line of value i, and `line(len(values))` that of the
+    directive; only blank and comment lines are recorded.  The lines before
+    the first `#` that starts a line are converted in one pass when they are
+    `_plain` and `int()` reads each of them; the rest goes line by line.
     """
+    head = text[: text.find("\n#") + 1 or len(text)]
+    values: list[Any] = head.splitlines()
+    try:
+        if not _plain(head):
+            raise ValueError
+        # In place, a slice at a time, so that the strings are freed as they go.
+        for i in range(0, len(values), 4096):
+            values[i : i + 4096] = map(int, values[i : i + 4096])
+    except ValueError:
+        head, values = "", []  # the whole text goes line by line
+    first = len(values)
     tokens: list[str] = []
     skipped: list[int] = []  # how many data lines precede each blank or comment line
     args: Optional[list[str]] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text[len(head) :].splitlines(), start=first + 1):
         line = raw.strip()
         if line and line[0] != "#":
             if args is not None:
@@ -82,8 +99,10 @@ def _scan(
                 raise ParseError(f"line {lineno}: duplicate {directive} directive")
             args = words[1:]
         elif args is None:
-            skipped.append(len(tokens))
-    return tokens, lambda i: i + 1 + bisect_right(skipped, i), args
+            skipped.append(first + len(tokens))
+    line_of = lambda i: i + 1 + bisect_right(skipped, i)
+    values.extend(_ints(tokens, lambda i: line_of(first + i), inf))
+    return values, line_of, args
 
 
 def integer(token: str) -> int:
@@ -101,8 +120,7 @@ def _ints(tokens: list[Any], line: Callable[[int], int], inf: bool = False) -> l
     would also read `1_0`, `+2` and non-ASCII digits; when the joined tokens
     hold none of those, it reads exactly `integer`'s spelling, at less cost.
     """
-    joined = "".join(tokens)
-    read = int if joined.isascii() and "_" not in joined and "+" not in joined else integer
+    read = int if _plain("".join(tokens)) else integer
     try:
         for i, t in enumerate(tokens):
             tokens[i] = INF if inf and t == "inf" else read(t)
@@ -138,8 +156,7 @@ def _sequence(
 
 
 def parse_sequence_text(text: str) -> NumberSequence:
-    tokens, line, args = _scan(text, "#tail")
-    terms = _ints(tokens, line, inf=True)
+    terms, line, args = _scan(text, "#tail", inf=True)
     kind, value = "unknown", None
     if args is not None:
         n = line(len(terms))
@@ -199,8 +216,7 @@ def _intset(
 
 
 def parse_intset_text(text: str) -> IntSet:
-    tokens, line, args = _scan(text, "#horizon")
-    elements = _ints(tokens, line)
+    elements, line, args = _scan(text, "#horizon")
     horizon = elements[-1] if elements else 0
     if args is not None:
         n = line(len(elements))

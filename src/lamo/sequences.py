@@ -158,6 +158,18 @@ class NumberSequence:
             head += (self.value_at(len(head) + 1),) * (n - len(head))
         return head
 
+    def window(self, n: Optional[int]) -> NumberSequence:
+        """The first n terms (all if n is None), or as many as are known; the
+        tail stays unless a known term is cut off, and is unknown if one is."""
+        if n is None:
+            return self
+        require_bound(n, "sequence window", least=0)
+        k = len(self._prefix)
+        shown = n if self.determined_horizon() is INF else min(n, k)
+        if shown == k:
+            return self
+        return NumberSequence(self.values(shown), self._tail if shown > k else Tail.unknown())
+
     def _canonical(self) -> tuple[tuple[ExtNat, ...], Tail]:
         t = self._tail
         p = list(self._prefix)
@@ -253,8 +265,15 @@ def _require_non_decreasing(s: NumberSequence) -> None:
         raise NotNonDecreasing(f"sequence is not non-decreasing: {s}")
 
 
-def invert(f: NumberSequence) -> NumberSequence:
-    """Counting inverse g(n) = |{m : f(m) < n}|.
+def inverse_horizon(f: NumberSequence) -> ExtNat:
+    """Largest n for which g(n) of `invert(f)` is answerable (INF if all)."""
+    if f.tail.kind != "unknown":
+        return INF
+    return f.prefix[-1] if f.prefix else 0
+
+
+def invert(f: NumberSequence, upto: Optional[int] = None) -> NumberSequence:
+    """Counting inverse g(n) = |{m : f(m) < n}|, or its `window(upto)`.
 
     g is built run by run, with no search per term: g(n) = i exactly for
     f(i) < n <= f(i+1) (reading f(0) as 0), so the value i repeats
@@ -264,7 +283,8 @@ def invert(f: NumberSequence) -> NumberSequence:
     The output encodes its own exactness window: a constant input tail
     yields a fully determined g (infinite tail), an infinite input tail
     yields a fully determined g (constant tail), and an unknown input tail
-    yields g known exactly for n up to the last prefix value.
+    yields g known exactly for n up to the last prefix value.  A window
+    builds only its terms, since g(n) for n <= upto counts only f(m) < upto.
     """
     _require_non_decreasing(f)
     # In a valid sequence the INF entries, if any, end the prefix.
@@ -281,11 +301,15 @@ def invert(f: NumberSequence) -> NumberSequence:
     else:
         # Unknown tail: exact exactly for n <= f(N).
         top, tail = run[-1], Tail.unknown()
+    if upto is not None:
+        require_bound(upto, "inverse window", least=0)
+        if upto < top:
+            run, top, tail = run[: bisect_left(run, upto)], upto, Tail.unknown()
     # The run of i is the tuple (i,) times f(i+1) - f(i), over the bounds
     # f(0) = 0, f(1), .., f(N), top.
     bounds = (0, *run, top)
     runs = map(mul, zip(range(len(run) + 1)), map(sub, bounds[1:], bounds))
-    return NumberSequence(chain.from_iterable(runs), tail)
+    return NumberSequence(chain.from_iterable(runs), tail).window(upto)
 
 
 def grid_witness(

@@ -1,12 +1,12 @@
 """Independent numeric oracles used to cross-check the exact kernel.
 
 Everything here deliberately shares no algorithm with the package under
-test, and imports from it only the error class `OutsideImage` that marks a
-point outside a map's image.  Still, `bisect_meeting_time`,
-`meeting_count`, `scan_lattice_avoidance`, `generic_corollary_sets`,
-`pointwise_induced_inverse` and `merge_events` take a map and call its own
-`eval`, `inverse_eval` or `level_times`, and work with the `ExactNumber`
-values it returns.  The decimal oracles go through the stdlib `decimal`
+test, and imports from it only two error classes: `OutsideImage`, which
+marks a point outside a map's image, and `ParseError`.  Still,
+`bisect_meeting_time`, `meeting_count`, `scan_lattice_avoidance`,
+`generic_corollary_sets`, `pointwise_induced_inverse` and `merge_events`
+take a map and call its own `eval`, `inverse_eval` or `level_times`, and
+work with the `ExactNumber` values it returns.  The decimal oracles go through the stdlib `decimal`
 module at high precision; they are advisory: where they and the exact
 route disagree, the exact route is authoritative, and the tests treat any
 disagreement as a failure to be investigated rather than auto-resolved.
@@ -28,18 +28,20 @@ map, whatever its shape, taking each floor by `bisect_floor`.
 bare exact times.  `bisect_invert` is the former counting inverse, one
 `bisect_left` per output term.  `pointwise_induced_inverse` is the map
 route's former inverse, one `inverse_eval` per index instead of one walk
-over the crossings.
+over the crossings.  `scan_parse_text` is the text files' former scanner,
+which reads every line on its own.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
+import math
+from bisect import bisect_left, bisect_right
 from decimal import Decimal, localcontext
 from itertools import groupby
 from operator import itemgetter
 
-from lamo.errors import OutsideImage
+from lamo.errors import OutsideImage, ParseError
 
 DIGITS = 100
 
@@ -244,3 +246,48 @@ def merge_events(phi, T) -> list[tuple]:
             meetings += 1
         events.append((t, kinds[0] if len(kinds) == 1 else "collision", meetings))
     return events
+
+
+def scan_parse_text(text: str, directive: str, inf: bool = False):
+    """(values, line, args) of a text file, read line by line: its data lines
+    converted to ints (and `inf` to math.inf when allowed), `line(i)` the
+    line of value i and of the directive at i = len(values), and the
+    directive's arguments, None without one.
+
+    A data line is a stripped line that does not start with `#`, and none
+    may follow the directive; the directive may appear once.  An integer is
+    ASCII digits after an optional `-`.
+    """
+    tokens = []
+    skipped = []  # how many data lines precede each blank or comment line
+    args = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and line[0] != "#":
+            if args is not None:
+                raise ParseError(f"line {lineno}: {line!r} after the {directive} directive")
+            tokens.append(line)
+            continue
+        words = line.split()
+        if words and words[0] == directive:
+            if args is not None:
+                raise ParseError(f"line {lineno}: duplicate {directive} directive")
+            args = words[1:]
+        elif args is None:
+            skipped.append(len(tokens))
+
+    def line_of(i: int) -> int:
+        return i + 1 + bisect_right(skipped, i)
+
+    def value(i: int, t: str):
+        if inf and t == "inf":
+            return math.inf
+        try:
+            if t.isascii() and t.removeprefix("-").isdigit():
+                return int(t)  # ValueError past the interpreter's digit limit
+        except ValueError:
+            pass
+        what = "an integer or 'inf'" if inf else "an integer"
+        raise ParseError(f"line {line_of(i)}: expected {what}, got {t!r}")
+
+    return [value(i, t) for i, t in enumerate(tokens)], line_of, args

@@ -111,6 +111,53 @@ class TestInvert:
         assert code == 2 and "ParseError: line 3" in err
 
 
+# `lamo invert --limit L` of one file per tail kind, for L = 0, a window
+# inside g's prefix, one ending with it and one past it: the exact-through
+# note (g's whole horizon, whatever the window), the terms and the tail.
+INVERT_WINDOWS = [
+    ("1\n4\n9\n#tail unknown\n", 0, 9, [], "unknown"),
+    ("1\n4\n9\n#tail unknown\n", 4, 9, [0, 1, 1, 1], "unknown"),
+    ("1\n4\n9\n#tail unknown\n", 9, 9, [0, 1, 1, 1, 2, 2, 2, 2, 2], "unknown"),
+    ("1\n4\n9\n#tail unknown\n", 12, 9, [0, 1, 1, 1, 2, 2, 2, 2, 2], "unknown"),
+    (BOUNDED, 0, "unbounded", [], "unknown"),
+    (BOUNDED, 1, "unbounded", [0], "unknown"),
+    (BOUNDED, 2, "unbounded", [0, 2], "infinite"),
+    (BOUNDED, 5, "unbounded", [0, 2, "inf", "inf", "inf"], "infinite"),
+    (HATIN, 0, "unbounded", [], "unknown"),
+    (HATIN, 2, "unbounded", [2, 3], "unknown"),
+    (HATIN, 4, "unbounded", [2, 3, 3, 3], "constant 4"),
+    (HATIN, 7, "unbounded", [2, 3, 3, 3, 4, 4, 4], "constant 4"),
+]
+
+
+class TestInvertWindows:
+    @pytest.mark.parametrize("text, limit, through, terms, tail", INVERT_WINDOWS)
+    def test_output_in_each_format(self, tmp_path, capsys, text, limit, through, terms, tail):
+        f = write(tmp_path, "f.txt", text)
+        kind, _, value = tail.partition(" ")
+        listed = ", ".join(str(t) if t != "inf" else '"inf"' for t in terms)
+        json_tail = f'{{"kind": "{kind}", "value": {value}}}' if value else f'{{"kind": "{kind}"}}'
+        json_through = f'"{through}"' if through == "unbounded" else through
+        expected = {
+            "text": f"# exact through: {through}\n"
+                    + "".join(f"{t}\n" for t in terms) + f"#tail {tail}\n",
+            "json": f'{{"terms": [{listed}], "tail": {json_tail}, '
+                    f'"exact_through": {json_through}}}\n',
+            "csv": "n,value\n" + "".join(f"{n},{t}\n" for n, t in enumerate(terms, start=1)),
+        }
+        for fmt, want in expected.items():
+            got = run(capsys, "invert", f, "--limit", str(limit), "--format", fmt)
+            assert got == (0, want, "")
+
+    def test_crlf_and_comments_read_as_the_plain_file(self, tmp_path, capsys):
+        plain = write(tmp_path, "plain.txt", "1\n4\n9\n#tail unknown\n")
+        crlf = write(tmp_path, "crlf.txt",
+                     "# f\r\n1\r\n 4\t\r\n# between\r\n9\r\n#tail unknown\r\n")
+        for fmt in ("text", "json", "csv"):
+            want = run(capsys, "invert", plain, "--limit", "6", "--format", fmt)
+            assert run(capsys, "invert", crlf, "--limit", "6", "--format", fmt) == want
+
+
 class TestHatUnhat:
     def test_hat_window(self, tmp_path, capsys):
         f = write(tmp_path, "s.txt", HATIN)
@@ -354,6 +401,17 @@ class TestGlobalFlags:
         code, out, err = run(capsys, *(a.format(n=n) for a in argv))
         assert (code, out) == (2, "")
         assert err.startswith("lamo: ParseError: ")
+
+    @pytest.mark.parametrize("argv, what", [
+        (["classify", "{deep}"], "JSON"),
+        (["simulate", '{{"kind": {nested}}}', "3"], "map JSON"),
+    ], ids=["sequence_file", "inline_map"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, argv, what):
+        nested = "[" * 100_000 + "]" * 100_000
+        deep = write(tmp_path, "deep.json", '{"terms": ' + nested + "}")
+        code, out, err = run(capsys, *(a.format(deep=deep, nested=nested) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"lamo: ParseError: bad {what}: maximum recursion depth exceeded")
 
     def test_env_format_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("LAMO_FORMAT", "json")

@@ -1,12 +1,15 @@
 import json
 import sys
 from fractions import Fraction
+from itertools import accumulate
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import lamo.formats
 from lamo import INF, IntSet, LinearMap, NumberSequence, PiecewiseMap, Tail, simulate
-from lamo.errors import ParseError
+from lamo.errors import LamoError, ParseError
 from lamo.exact import ExactNumber
 from lamo.formats import (
     event_to_json,
@@ -16,6 +19,7 @@ from lamo.formats import (
     map_from_json,
     map_to_json,
     parse_intset,
+    parse_intset_text,
     parse_map,
     parse_sequence,
     parse_sequence_text,
@@ -25,6 +29,8 @@ from lamo.formats import (
     sequence_to_json,
 )
 from lamo.runner import COLLISION, MEETING, X_CROSSING, Y_CROSSING, Event, EventLog
+
+from oracles import scan_parse_text
 
 
 class TestSequenceText:
@@ -233,6 +239,90 @@ class TestIntSetForms:
             intset_from_json({"elements": [1], "horizon": "big"})
         with pytest.raises(ParseError):
             intset_from_json({"elements": [1.5], "horizon": 5})
+
+
+# Lines of a text file: plain terms, terms padded or split by whitespace and
+# by characters that `str.splitlines` breaks at, misspelled and over-long
+# terms, comments, blanks and directives, well formed or not.
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+_TERMS = st.integers(0, 10**6).map(str)
+_ODD = st.sampled_from(["inf", "-3", "1_0", "+2", "３", "1 2", "5 # five", "5#", "x", "2.5",
+                        "1" * (_DIGITS + 1), "\x0c", "5\x0c", "\x1c5", "1\x0c2", "1\x1c2"])
+_PADDED = st.tuples(st.sampled_from(["", " ", "\t"]), _TERMS,
+                    st.sampled_from(["", " ", "\t", "\r", "\x0c"])).map("".join)
+_COMMENTS = st.sampled_from(["# note", "#", "#tailored", "#horizonx 3", "  # indented", "\t#"])
+_BLANKS = st.sampled_from(["", " ", "\t"])
+_DIRECTIVES = st.sampled_from([
+    "#tail unknown", "#tail infinite", "#tail constant 70", "#tail constant 9", "#tail constant",
+    "#tail bogus", "#tail constant -1", "#tail constant 1_0", "#tail infinite 3", " #tail unknown",
+    "#horizon 10000000", "#horizon 9", "#horizon", "#horizon 1 2", "#horizon +5", "\t#horizon 50",
+])
+_LINES = st.one_of(_TERMS, _PADDED, _ODD, _COMMENTS, _BLANKS, _DIRECTIVES)
+
+
+@st.composite
+def text_files(draw):
+    """A text file: comments, then increasing terms, then a `#` line or not,
+    then any lines, with `\n`, `\r\n` or `\r` endings and a final one or not."""
+    before = draw(st.lists(st.one_of(_COMMENTS, _BLANKS), max_size=2))
+    steps = draw(st.lists(st.integers(1, 9), max_size=12))
+    mark = draw(st.lists(st.sampled_from(["# note", "#tail unknown", "#horizon 70"]), max_size=1))
+    after = draw(st.lists(_LINES, max_size=8))
+    ending = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    lines = before + [str(v) for v in accumulate(steps)] + mark + after
+    return ending.join(lines) + (ending if lines and draw(st.booleans()) else "")
+
+
+def _parsed(parse, text):
+    """What the parse gives, as plain data, or the class and message of its error."""
+    try:
+        v = parse(text)
+    except LamoError as e:
+        return type(e), str(e)
+    return (v.prefix, v.tail) if isinstance(v, NumberSequence) else v
+
+
+class TestScanRoutes:
+    @settings(max_examples=400)
+    @given(text_files())
+    @example("")
+    @example("1\r\n4\r\n# between\r\n9\r\n#tail unknown\r\n")
+    @example("1\n2\n# note\n3\n#tail constant 3\n# after\n")
+    @example("1\n2\n# note\n1_0\n\n#tail unknown\n")
+    @example("1\n2\n5\x0c\n#tail constant -1\n")
+    @example("1\n2\n\n#horizon 1\n")
+    @example("1\n2\n#tail unknown\n#tail unknown\n")
+    @example("1\n2\n#horizon 9\n5\n")
+    @example("3\n1\n#horizon 1 2\n")
+    @example("1\n2")
+    def test_same_as_the_per_line_route(self, text):
+        for parse in (parse_sequence_text, parse_intset_text):
+            got = _parsed(parse, text)
+            with mock.patch.object(lamo.formats, "_scan", scan_parse_text):
+                assert got == _parsed(parse, text), (parse.__name__, text)
+
+    @pytest.mark.parametrize("text, per_line", [
+        ("1\n2\n3\n#tail constant 5\n# end\n", [[], ["5"]]),
+        ("1\n2\n3\n", [[]]),
+        ("1\n2\n# note\n3\n#tail constant 5\n", [["3"], ["5"]]),
+        ("1\r\n2\r\n#tail constant 5\r\n", [[], ["5"]]),
+        ("1\n\n2\n#tail constant 5\n", [["1", "2"], ["5"]]),
+        ("1\ninf\n#tail infinite\n", [["1", "inf"]]),
+        ("# note\n1\n2\n", [["1", "2"]]),
+    ])
+    def test_only_the_rest_goes_line_by_line(self, text, per_line):
+        # The data lines before the first `#` line, when all are plain
+        # integers, never reach the per-line converter `_ints`.
+        seen = []
+        real = lamo.formats._ints
+
+        def spy(tokens, *args):
+            seen.append(list(tokens))
+            return real(tokens, *args)
+
+        with mock.patch.object(lamo.formats, "_ints", spy):
+            parse_sequence_text(text)
+        assert seen == per_line
 
 
 class TestMapForms:

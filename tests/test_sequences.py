@@ -151,7 +151,11 @@ BOUND_SITES = {
     "lattice_avoidance": (lambda v: lattice_avoidance(LinearMap(2), v), "scan bound"),
     "corollary_sets": (lambda v: corollary_sets(LinearMap(2), v), "window bound"),
     "induced_inverse": (lambda v: induced_inverse(LinearMap(2), v), "window bound"),
+    "invert": (lambda v: invert(BOUND_F, v), "inverse window"),
+    "window": (lambda v: BOUND_F.window(v), "sequence window"),
 }
+# The sites that also take 0.
+NON_NEGATIVE = {"IntSet", "invert", "window"}
 
 
 class TestBounds:
@@ -162,7 +166,7 @@ class TestBounds:
     @pytest.mark.parametrize("v", [True, 1.5, -1, "2"])
     def test_rejects_non_ints_and_negatives(self, site, v):
         call, what = BOUND_SITES[site]
-        kind = "non-negative" if site == "IntSet" else "positive"
+        kind = "non-negative" if site in NON_NEGATIVE else "positive"
         message = f"{what} must be a {kind} integer, got {v!r}"
         with pytest.raises(NotPositive, match=re.escape(message)):
             call(v)
@@ -225,6 +229,56 @@ class TestInvert:
             invert(seq((), Tail.unknown()))
         with pytest.raises(EmptyWindow):
             invert(seq((0, 0), Tail.unknown()))
+
+    @given(sequences_st(kinds=("constant", "infinite", "unknown")), st.integers(0, 30))
+    @example(seq((1, 4, 9), Tail.unknown()), 0)
+    @example(seq((1, 4, 9), Tail.unknown()), 9)
+    @example(seq((1, 1, 2), Tail.constant(2)), 2)
+    @example(seq((0, 0, 1, 4), Tail.infinite()), 4)
+    @example(seq((0, 0, 1, 4, INF), Tail.infinite()), 7)
+    @example(seq((), Tail.infinite()), 3)
+    @example(seq((0, 0), Tail.unknown()), 1)
+    def test_window_is_the_cut_inverse(self, f, upto):
+        whole = outcome(invert, f)
+        if not isinstance(whole, NumberSequence):
+            assert whole is EmptyWindow and outcome(invert, f, upto) is EmptyWindow
+            return
+        g, cut = invert(f, upto), whole.window(upto)
+        assert (g.prefix, g.tail) == (cut.prefix, cut.tail)
+        # The prefix and the tail against the oracle: a determined tail
+        # continues past the prefix, and a window that cuts a term off ends
+        # in an unknown tail.
+        prefix, (kind, value) = bisect_invert(f)
+        assert g.tail == (Tail(kind, value) if upto >= len(prefix) else Tail.unknown())
+        if kind != "unknown":
+            prefix += [INF if kind == "infinite" else value] * upto
+        assert g.prefix == tuple(prefix[:upto])
+
+    @pytest.mark.parametrize("upto", [0, 1, 3, 100])
+    def test_window_keeps_the_errors(self, upto):
+        # The terms out of order, 30 then 5, lie above the smaller windows.
+        with pytest.raises(NotNonDecreasing):
+            invert(seq((1, 2, 30, 5), Tail.unknown()), upto)
+        with pytest.raises(NotNonDecreasing):
+            invert(seq((1, 5), Tail.constant(3)), upto)
+        with pytest.raises(EmptyWindow):
+            invert(seq((), Tail.unknown()), upto)
+        with pytest.raises(EmptyWindow):
+            invert(seq((0, 0), Tail.unknown()), upto)
+
+    def test_window_builds_only_its_terms(self, monkeypatch):
+        # The runs stop at the window's top, whatever the length of g.
+        built = []
+        real = lamo.sequences.NumberSequence
+
+        def spy(terms, tail):
+            built.append(tuple(terms))
+            return real(built[-1], tail)
+
+        monkeypatch.setattr(lamo.sequences, "NumberSequence", spy)
+        f = seq(tuple(range(0, 3 * 10**5, 3)), Tail.unknown())
+        assert invert(f, 5).prefix == (1, 1, 1, 2, 2)
+        assert built == [(1, 1, 1, 2, 2)]
 
     def test_matches_brute_count_on_window(self):
         f = seq((0, 2, 2, 5), Tail.unknown())
