@@ -214,8 +214,7 @@ def _cmd_simulate(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
             f"agree: {'yes' if agree else 'NO'}\n"
         )
     if fmt == "json":
-        events = [formats.event_to_json(e.time, e.kind, e.count) for e in log.events]
-        return {"events": events, **summary}, code
+        return formats.events_to_json(log, summary) + "\n", code
     return formats.events_to_jsonl(log) + summary, code
 
 

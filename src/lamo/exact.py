@@ -21,9 +21,9 @@ the fields, with the same sign rule as `sign`.  `floor` and
 `multiple_floors`, the floors of n*x for n = 1, 2, .. up to a bound, share
 one integer rule: floor(n*(a + b*sqrt(d))/c) is (a*n + isqrt(b*b*d*n*n)) // c
 for b >= 0 and (a*n - isqrt(b*b*d*n*n) - 1) // c for b < 0, so a Beatty
-sequence costs one isqrt per term and no ExactNumber.  `floor(scale)` is
-the first term of that rule on the fields scaled by `scale`, so
-floor(scale*x) too costs one isqrt and no ExactNumber.
+sequence costs one isqrt per term and no ExactNumber.  `floor(scale)`
+applies the rule's first term directly to the fields scaled by `scale`, so
+floor(scale*x) costs one isqrt, no ExactNumber and no generator.
 
 Results whose fields are already in range go through the internal
 constructor `ExactNumber._new(a, b, d, c)`: it takes c >= 1 and a radicand
@@ -347,8 +347,11 @@ class ExactNumber:
 
     def floor(self, scale: int = 1) -> int:
         """The unique integer n with n <= scale*x < n+1, for an int scale >= 1,
-        decided exactly."""
-        return next(_multiple_floors(self._a * scale, self._b * scale, self._d, self._c))
+        decided exactly: the term n = 1 of `_multiple_floors`' rule on the
+        fields scaled by `scale`."""
+        a, b = self._a * scale, self._b * scale
+        s = math.isqrt(b * b * self._d)
+        return (a + s) // self._c if b >= 0 else (a - s - 1) // self._c
 
     def multiple_floors(self, K: int) -> list[int]:
         """[floor(x), floor(2x), ..] up to the last value <= K, for x > 0.

@@ -310,15 +310,18 @@ def parse_map(text: str) -> MonotoneMap:
 # -- event logs -----------------------------------------------------------
 
 
-def event_to_json(time: ExactNumber, kind: str, count: int) -> dict[str, Any]:
-    return {"t": time.literal(), "kind": kind, "count": count}
-
-
 def events_to_jsonl(log: EventLog) -> str:
-    # The line `json.dumps(event_to_json(...))` writes: a time literal and an
-    # event kind hold no character that JSON escapes.
+    # The line `json.dumps` writes for each event: a time literal and an event
+    # kind hold no character that JSON escapes.
     lines = [
         f'{{"t": "{e.time.literal()}", "kind": "{e.kind}", "count": {e.count}}}'
         for e in log.events
     ]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def events_to_json(log: EventLog, summary: dict[str, Any]) -> str:
+    """`json.dumps({"events": [...], **summary})` for a non-empty summary:
+    the JSONL lines, joined by ", "."""
+    events = events_to_jsonl(log)[:-1].replace("\n", ", ")
+    return f'{{"events": [{events}], {json.dumps(summary)[1:]}'

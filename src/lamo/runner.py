@@ -7,22 +7,21 @@ phi(t) + t is a positive integer.  The Y stream is the integers up to the
 horizon; the X and meeting streams are the level times of phi(t) + shift*t
 for shift 0 and 1, which `MonotoneMap.level_times` yields in closed form
 (k/(lambda+shift) for a linear map, one solve per linear piece for a
-piecewise map).  `heapq.merge` puts the three streams in exact time order,
-`itertools.groupby` gathers equal times, and each event is stamped with the
-number of meetings merged so far, a meeting counting itself.  A time shared
-by more than one stream is a meeting exactly at the origin and is recorded
-as a single collision event, which voids any partition claim for the log.
+piecewise map).
 
-Both the merge and the grouping key each time t by the pair
-(floor(t*2^32), t), with the integer prefix from the kernel's floor rule.
-The prefix is monotone in t, so the pairs order exactly as the times do:
-an integer comparison decides every two times that differ by 2^-32 or
-more, and only times that share a prefix reach the exact comparison of
-the second field.  Equal times share their prefix, so grouping by the pair
-still gathers exactly the equal times, and collisions are found as before.
-The merge compares whole (prefix, t, kind) items; two of them agree in
-prefix and time only at a collision, where the kind breaks the tie inside
-a group that becomes one event anyway.
+The log is built in C-level passes.  Each time t is keyed
+(floor(t*2^32), t, kind), with the integer prefix from the kernel's floor
+rule; one `list.sort` merges the three ascending runs; neighbouring items
+with equal (prefix, t) mark a time shared by streams; the counts are the
+running sums of the meeting flags; and each time becomes one `Event`,
+stamped with the number of meetings up to it, a meeting counting itself.
+The prefix is monotone in t, so the keys order exactly as the times do,
+and only times within 2^-32 of each other reach the exact comparison.
+
+A time shared by streams is a meeting exactly at the origin, recorded as
+a single collision event that voids any partition claim for the log.  Any
+two of t, phi(t) and phi(t) + t being integers forces the third, so a
+collision holds one item of each stream, one meeting among them.
 
 The counts come from the merge alone, never from the formula
 floor(phi(t) + t) or the set formulas in `continuous`, so the routes stay
@@ -32,11 +31,10 @@ derived from one another.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
-from typing import NamedTuple
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import eq, itemgetter, not_
+from typing import Iterable, NamedTuple
 
 from .errors import CollisionPresent, NonPositiveTime
 from .exact import ExactNumber
@@ -67,26 +65,35 @@ class EventLog:
         return tuple(e for e in self.events if e.kind == COLLISION)
 
 
+def _keyed(walk: Iterable[tuple[int, ExactNumber]], kind: str) -> Iterable[tuple]:
+    times = list(map(itemgetter(1), walk))
+    return zip(map(ExactNumber.floor, times, repeat(_SCALE)), times, repeat(kind))
+
+
 def simulate(phi: MonotoneMap, T: Timelike) -> EventLog:
     """Exact event log of both crossings and all meetings up to time T."""
     horizon = ExactNumber.coerce(T)
     if horizon.sign() <= 0:
         raise NonPositiveTime(f"simulation horizon must be positive, got {horizon}")
-    streams = (
-        ((k * _SCALE, ExactNumber._new(k, 0, 0, 1), Y_CROSSING)
-         for k in range(1, horizon.floor() + 1)),
-        ((t.floor(_SCALE), t, X_CROSSING) for _, t in phi.level_times(0, horizon)),
-        ((t.floor(_SCALE), t, MEETING) for _, t in phi.level_times(1, horizon)),
-    )
-    events: list[Event] = []
-    meetings = 0
-    for (_, t), due in groupby(heapq.merge(*streams), key=itemgetter(0, 1)):
-        kinds = [kind for _, _, kind in due]
-        if MEETING in kinds:
-            meetings += 1
-        # Coincidence of streams means a meeting at the origin itself.
-        events.append(Event(t, kinds[0] if len(kinds) == 1 else COLLISION, meetings))
-    return EventLog(tuple(events), horizon)
+    n = horizon.floor()
+    ys = map(ExactNumber._new, range(1, n + 1), repeat(0), repeat(0), repeat(1))
+    items = [
+        *zip(range(_SCALE, (n + 1) * _SCALE, _SCALE), ys, repeat(Y_CROSSING)),
+        *_keyed(phi.level_times(0, horizon), X_CROSSING),
+        *_keyed(phi.level_times(1, horizon), MEETING),
+    ]
+    items.sort()
+    # shared[i]: items i and i+1 are at one time.
+    keys = map(itemgetter(0, 1), items)
+    shared = list(map(eq, keys, map(itemgetter(0, 1), islice(items, 1, None))))
+    kinds = list(map(itemgetter(2), items))
+    counts = list(accumulate(map(eq, kinds, repeat(MEETING)), initial=0))
+    for i in compress(count(1), shared):
+        kinds[i] = COLLISION
+    # One event per time, at the last of its items.
+    last = chain(map(not_, shared), (True,))
+    rows = compress(zip(map(itemgetter(1), items), kinds, islice(counts, 1, None)), last)
+    return EventLog(tuple(map(tuple.__new__, repeat(Event), rows)), horizon)
 
 
 def recorded_sets(log: EventLog) -> tuple[IntSet, IntSet]:

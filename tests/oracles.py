@@ -4,12 +4,13 @@ Everything here deliberately shares no algorithm with the package under
 test, and imports from it only two error classes: `OutsideImage`, which
 marks a point outside a map's image, and `ParseError`.  Still,
 `bisect_meeting_time`, `meeting_count`, `scan_lattice_avoidance`,
-`generic_corollary_sets`, `pointwise_induced_inverse` and `merge_events`
-take a map and call its own `eval`, `inverse_eval` or `level_times`, and
-work with the `ExactNumber` values it returns.  The decimal oracles go through the stdlib `decimal`
-module at high precision; they are advisory: where they and the exact
-route disagree, the exact route is authoritative, and the tests treat any
-disagreement as a failure to be investigated rather than auto-resolved.
+`generic_corollary_sets`, `pointwise_induced_inverse`, `merge_events` and
+`merged_groups` take a map and call its own `eval`, `inverse_eval` or
+`level_times`, and work with the `ExactNumber` values it returns.  The
+decimal oracles go through the stdlib `decimal` module at high precision;
+they are advisory: where they and the exact route disagree, the exact
+route is authoritative, and the tests treat any disagreement as a failure
+to be investigated rather than auto-resolved.
 `bisect_floor` uses integers only and is exact for every input.
 `bisect_meeting_time` is the simulator's former meeting solver, kept as
 the slow path that the closed-form `level_times` streams are checked
@@ -24,12 +25,16 @@ Three more are the slow paths that the integer-only routes replaced:
 `subtract_compare` orders two values by building their difference, and
 `generic_corollary_sets` builds the pair of sets term by term through the
 map, whatever its shape, taking each floor by `bisect_floor`.
-`merge_events` is the simulator's former merge, ordered and grouped on the
-bare exact times.  `bisect_invert` is the former counting inverse, one
-`bisect_left` per output term.  `pointwise_induced_inverse` is the map
-route's former inverse, one `inverse_eval` per index instead of one walk
-over the crossings.  `scan_parse_text` is the text files' former scanner,
-which reads every line on its own.
+`merge_events` is the simulator's first merge, ordered and grouped on the
+bare exact times; `merged_groups` and `grouped_merge_events` are its
+second, the prefix-keyed `heapq.merge` and `groupby` that the sorted
+passes replaced.  `event_to_json` is an event's JSON object, which the
+JSON and JSONL renderers are checked against.  `bisect_invert` is the
+former counting inverse, one `bisect_left` per output term.
+`pointwise_induced_inverse` is the map route's former inverse, one
+`inverse_eval` per index instead of one walk over the crossings.
+`scan_parse_text` is the text files' former scanner, which reads every
+line on its own.
 """
 
 from __future__ import annotations
@@ -246,6 +251,42 @@ def merge_events(phi, T) -> list[tuple]:
             meetings += 1
         events.append((t, kinds[0] if len(kinds) == 1 else "collision", meetings))
     return events
+
+
+def merged_groups(phi, T):
+    """(t, kinds) for each distinct time t of an event up to the exact T > 0.
+
+    The simulator's former assembly: the Y crossings, the X crossings and
+    the meetings are three generators of items (floor(t*2^32), t, kind),
+    `heapq.merge` orders them, and `groupby` gathers the items of one time
+    on the pair (floor(t*2^32), t).
+    """
+    scale = 2**32
+    streams = (
+        ((k * scale, k, "y_crosses_origin") for k in range(1, bisect_floor(T.a, T.b, T.d, T.c) + 1)),
+        ((t.floor(scale), t, "x_crosses_origin") for _, t in phi.level_times(0, T)),
+        ((t.floor(scale), t, "meeting") for _, t in phi.level_times(1, T)),
+    )
+    for (_, t), due in groupby(heapq.merge(*streams), key=itemgetter(0, 1)):
+        yield t, [kind for _, _, kind in due]
+
+
+def grouped_merge_events(phi, T) -> list[tuple]:
+    """(time, kind, count) of each event up to T, one per group of
+    `merged_groups`: a group of more than one item is a collision, and a
+    count is the number of groups so far that hold a meeting."""
+    events = []
+    meetings = 0
+    for t, kinds in merged_groups(phi, T):
+        if "meeting" in kinds:
+            meetings += 1
+        events.append((t, kinds[0] if len(kinds) == 1 else "collision", meetings))
+    return events
+
+
+def event_to_json(time, kind: str, count: int) -> dict:
+    """The JSON object of one event, for `json.dumps`."""
+    return {"t": time.literal(), "kind": kind, "count": count}
 
 
 def scan_parse_text(text: str, directive: str, inf: bool = False):

@@ -4,9 +4,12 @@ import sys
 
 import pytest
 
-from lamo import cli
+from lamo import LinearMap, cli, simulate
 from lamo.cli import main
 from lamo.errors import LamoError
+from lamo.exact import ExactNumber
+
+from oracles import event_to_json
 
 SQUARES = "1\n4\n9\n16\n25\n#tail unknown\n"
 BOUNDED = "1\n1\n2\n#tail constant 2\n"
@@ -327,6 +330,20 @@ class TestSimulate:
         obj = json.loads(out)
         assert code == 0 and obj["agree"] is True
         assert obj["recorded"]["S_X"]["elements"][:3] == [1, 3, 5]
+
+    @pytest.mark.parametrize("slope, T, code, events", [
+        ("sqrt(2)", "10", 0, 48), ("3/2", "6", 4, 24), ("sqrt(2)", "1/3", 0, 0),
+    ])
+    def test_json_is_json_dumps_of_the_log(self, capsys, slope, T, code, events):
+        phi = f'{{"kind":"linear","lambda":"{slope}"}}'
+        got, out, _ = run(capsys, "simulate", phi, T, "--format", "json")
+        log = simulate(LinearMap(ExactNumber.parse(slope)), ExactNumber.parse(T))
+        summary = json.loads(out)
+        del summary["events"]
+        assert (got, len(log.events)) == (code, events)
+        assert ("collision_at" in summary) == (code == 4)
+        expected = {"events": [event_to_json(e.time, e.kind, e.count) for e in log.events], **summary}
+        assert out == json.dumps(expected) + "\n"
 
     def test_collision_exits_4(self, capsys):
         code, out, _ = run(capsys, "simulate", '{"kind":"linear","lambda":"1"}', "2")

@@ -239,7 +239,13 @@ class TestFloor:
         assert ExactNumber(a, b, d, c).floor() == bisect_floor(a, b, d, c)
 
 
-    @given(coeffs, st.integers(0, 10**6), st.integers(1, 2**40))
+    @given(
+        coeffs,
+        st.one_of(st.integers(0, 10**6), st.integers(10**20 - 1, 10**20 + 1), st.integers(0, 10**20)),
+        st.one_of(st.just(1), st.just(2**32), st.integers(1, 2**40)),
+    )
+    @example((3, -7, 1), 10**20 - 1, 2**32)
+    @example((0, 1, 10**10), 10**20 + 1, 2**32)
     def test_scaled_floor(self, abc, d, scale):
         a, b, c = abc
         assert ExactNumber(a, b, d, c).floor(scale) == bisect_floor(a * scale, b * scale, d, c)

@@ -12,7 +12,7 @@ from lamo import INF, IntSet, LinearMap, NumberSequence, PiecewiseMap, Tail, sim
 from lamo.errors import LamoError, ParseError
 from lamo.exact import ExactNumber
 from lamo.formats import (
-    event_to_json,
+    events_to_json,
     events_to_jsonl,
     intset_from_json,
     intset_to_json,
@@ -30,7 +30,7 @@ from lamo.formats import (
 )
 from lamo.runner import COLLISION, MEETING, X_CROSSING, Y_CROSSING, Event, EventLog
 
-from oracles import scan_parse_text
+from oracles import event_to_json, scan_parse_text
 
 
 class TestSequenceText:
@@ -429,3 +429,17 @@ def test_jsonl_lines_are_json_dumps(evs):
     log = EventLog(tuple(evs), ExactNumber(1))
     expected = [json.dumps(event_to_json(e.time, e.kind, e.count)) for e in evs]
     assert events_to_jsonl(log) == "".join(line + "\n" for line in expected)
+
+
+summaries = st.dictionaries(
+    st.sampled_from(["collision_at", "agree", "recorded"]),
+    st.one_of(st.booleans(), st.text(max_size=5), st.lists(st.integers(), max_size=3)),
+    min_size=1,
+)
+
+
+@given(st.lists(events, max_size=20), summaries)
+def test_json_object_is_json_dumps(evs, summary):
+    log = EventLog(tuple(evs), ExactNumber(1))
+    expected = {"events": [event_to_json(e.time, e.kind, e.count) for e in evs], **summary}
+    assert events_to_json(log, summary) == json.dumps(expected)

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lamo import (
     CollisionPresent,
@@ -26,7 +26,13 @@ from lamo.exact import ExactNumber
 from lamo.runner import COLLISION, MEETING, X_CROSSING, Y_CROSSING
 
 from gen import random_rational_map, random_sequence
-from oracles import bisect_meeting_time, meeting_count, merge_events
+from oracles import (
+    bisect_meeting_time,
+    grouped_merge_events,
+    meeting_count,
+    merge_events,
+    merged_groups,
+)
 
 GOLDEN = ExactNumber(-1, 1, 5, 2)
 SQRT2 = ExactNumber.sqrt(2)
@@ -318,3 +324,40 @@ class TestMergeOracle:
         s_x, s_y = recorded_sets(simulate(phi, T))
         alg_y, alg_x = corollary_sets(phi, s_x.horizon)
         assert (s_x, s_y) == (alg_x, alg_y)
+
+
+@st.composite
+def simulated_cases(draw):
+    """(phi, T): a linear or piecewise map, and a rational horizon or an
+    irrational one (a + sqrt(d))/c over the map's own radicand."""
+    phi = draw(st.one_of(
+        st.one_of(quadratic_slopes(), rational_slopes).map(LinearMap),
+        map_seeds.map(lambda s: random_rational_map(random.Random(s))),
+    ))
+    d = getattr(phi, "slope", ExactNumber(0)).d or draw(st.integers(2, 300))
+    irrational = st.builds(
+        lambda a, c: ExactNumber(a, 1, d, c), st.integers(0, 6), st.integers(1, 3)
+    ).filter(lambda x: not x.is_rational and x < 30)
+    return phi, draw(st.one_of(exact_horizons, irrational))
+
+
+class TestGroupedMergeOracle:
+    """The sorted passes against the keyed heapq.merge and groupby they replaced."""
+
+    @given(simulated_cases())
+    @example((LinearMap(Fraction(3, 2)), ExactNumber(6)))
+    @example((LinearMap(ExactNumber(0, 1, 10**20 - 1, 10**10)), ExactNumber(3)))
+    @settings(max_examples=150, deadline=None)
+    def test_simulate_equals_grouped_merge(self, case):
+        phi, T = case
+        assert logged(phi, T) == grouped_merge_events(phi, T)
+
+    @given(simulated_cases())
+    @example((LinearMap(Fraction(3, 2)), ExactNumber(6)))
+    @settings(max_examples=100, deadline=None)
+    def test_collision_holds_one_item_per_stream(self, case):
+        phi, T = case
+        # Any two of t, phi(t) and phi(t) + t being integers forces the third.
+        for _, kinds in merged_groups(phi, T):
+            if len(kinds) > 1:
+                assert sorted(kinds) == [MEETING, X_CROSSING, Y_CROSSING]
