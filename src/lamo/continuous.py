@@ -39,7 +39,6 @@ from .errors import (
     InfiniteValue,
     NonPositiveSlope,
     NonPositiveTime,
-    NotNonDecreasing,
     NotPositive,
     NotSorted,
     OutsideImage,
@@ -47,11 +46,9 @@ from .errors import (
 )
 from .exact import Coercible as Timelike, ExactNumber
 from .sequences import (
-    INF,
     IntSet,
     NumberSequence,
     Tail,
-    check_non_decreasing,
     require_bound,
 )
 
@@ -294,11 +291,11 @@ def construct_phi(f: NumberSequence) -> PiecewiseMap:
     phi(n) is never an integer.  A constant tail v appends, if needed, the
     anchor for index N+1 and then saturates toward v + 1, placing every
     integer > v outside the image; an unknown tail extends the last slope,
-    with the floor guarantee holding through the prefix length.
+    with the floor guarantee holding through the prefix length.  f is
+    non-decreasing, as every `NumberSequence` is, so only an inf value is
+    refused, and it shows in the tail: an inf term makes the tail infinite.
     """
-    if not check_non_decreasing(f):
-        raise NotNonDecreasing(f"cannot build a map for a non-monotone sequence: {f}")
-    if any(v is INF for v in f.prefix) or f.tail.kind == "infinite":
+    if f.tail.kind == "infinite":
         raise InfiniteValue("map construction needs all values finite")
 
     def anchor_at(n: int, value: int) -> Fraction:

@@ -13,7 +13,7 @@ the same data; numbers that must stay exact travel as literal strings like
 `(-1+1*sqrt(5))/2`, never as floats.  The decoders only convert: the rules
 on terms, tails and elements belong to `NumberSequence`, `Tail` and
 `IntSet`, and a value they reject is reported with its line (text) or its
-term index (JSON).
+term or element index (JSON).
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from fractions import Fraction
 from typing import Any, Callable, Optional, Union
 
 from .continuous import LinearMap, MonotoneMap, PiecewiseMap
-from .errors import HorizonExceeded, ParseError
+from .errors import HorizonExceeded, NotNonDecreasing, NotPositive, NotSorted, ParseError
 from .exact import ExactNumber
 from .runner import EventLog
-from .sequences import INF, IntSet, NumberSequence, Tail, is_extnat
+from .sequences import INF, IntSet, NumberSequence, Tail, sequence_fault
 
 
 def _rational_literal(text: Union[str, int], what: str) -> Fraction:
@@ -137,22 +137,22 @@ def _ints(tokens: list[Any], line: Callable[[int], int], inf: bool = False) -> l
 def _sequence(
     terms: list[Any], kind: Any, value: Any, line: Optional[Callable[[int], int]] = None
 ) -> NumberSequence:
-    """The sequence, with a term or tail its types reject reported as bad input.
-
-    The text form gives `line` from `_scan`; the JSON form names a term by
-    its index.
-    """
+    """The sequence, with a term or tail it rejects located by `sequence_fault`,
+    a term first: by its line in the text form (`line` from `_scan`), and in
+    JSON by its term index, which an order error names itself."""
+    tail = None
     try:
-        return NumberSequence(terms, Tail(kind, value))
-    except ValueError as e:
-        i = next((i for i, v in enumerate(terms) if not is_extnat(v)), None)
-        if i is None:
-            where = f"line {line(len(terms))}: " if line else ""
-            raise ParseError(f"{where}{e}") from None
-        where = f"line {line(i)}" if line else f"term {i + 1}"
-        raise ParseError(
-            f"{where}: expected a non-negative integer or 'inf', got {terms[i]!r}"
-        ) from None
+        tail = Tail(kind, value)
+        return NumberSequence(terms, tail)
+    except (ValueError, NotNonDecreasing) as err:
+        i, fault = sequence_fault(terms, tail) or (len(terms), err)
+    where = f"line {line(i)}: " if line else ""
+    if isinstance(fault, NotNonDecreasing):
+        raise NotNonDecreasing(f"{where}{fault}")
+    if i == len(terms):  # the tail's own fault
+        raise ParseError(f"{where}{fault}")
+    where = where or f"term {i + 1}: "
+    raise ParseError(f"{where}expected a non-negative integer or 'inf', got {terms[i]!r}")
 
 
 def parse_sequence_text(text: str) -> NumberSequence:
@@ -205,7 +205,8 @@ def parse_sequence(text: str) -> NumberSequence:
 def _intset(
     elements: list[int], horizon: int, line: Optional[Callable[[int], int]] = None
 ) -> IntSet:
-    """The set, with an element past the file's own horizon reported as bad input."""
+    """The set, with an element it rejects located by its line (text) or its
+    index (JSON); an element past the file's own horizon is bad input."""
     try:
         return IntSet(tuple(elements), horizon)
     except HorizonExceeded:
@@ -213,6 +214,14 @@ def _intset(
         i = bisect_right(elements, horizon)
         where = f"line {line(i)}: " if line else ""
         raise ParseError(f"{where}element {elements[i]} lies beyond the horizon {horizon}") from None
+    except (NotPositive, NotSorted) as err:
+        # The elements are ints: the first not above the one before it (or 0),
+        # if any, else the horizon.
+        i = next((i for i, (p, e) in enumerate(zip([0, *elements], elements)) if e <= p), None)
+        if i is None:
+            raise
+        where = f"line {line(i)}" if line else f"element {i + 1}"
+        raise type(err)(f"{where}: {err}") from None
 
 
 def parse_intset_text(text: str) -> IntSet:

@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import countOf, is_, mul, sub
-from typing import Iterable, Optional, Union
+from itertools import chain, count, repeat
+from operator import countOf, eq, is_, mul, sub
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     EmptyWindow,
@@ -39,17 +39,6 @@ ExtNat = Union[int, float]
 
 def is_extnat(v: object) -> bool:
     return v is INF or (type(v) is int and v >= 0)
-
-
-def _all_extnat(entries: tuple) -> bool:
-    """`is_extnat` of every entry, in C-level passes over the tuple: count the
-    entries of type exactly `int`, then the INF entries if that falls short,
-    then take the least."""
-    n = len(entries)
-    ints = countOf(map(type, entries), int)
-    if ints < n and ints + countOf(map(is_, entries, repeat(INF)), True) < n:
-        return False
-    return min(entries, default=0) >= 0
 
 
 def require_bound(v: object, what: str, least: int = 1) -> None:
@@ -96,28 +85,58 @@ class Tail:
         return self.kind
 
 
-class NumberSequence:
-    """Finite prefix of a sequence over ExtNat, plus a tail descriptor.
+def sequence_fault(entries: Sequence, tail: Optional[Tail]) -> Optional[tuple[int, Exception]]:
+    """Where and why `NumberSequence` rejects entries and tail, located once
+    its check has failed: (i, error) for the first entry i that is no ExtNat,
+    else the first below the one before it, else (len(entries), error) for a
+    last entry above a constant tail; None for none (of the entries alone
+    when `tail` is None)."""
+    for i, v in enumerate(entries):
+        if not is_extnat(v):
+            return i, ValueError(f"sequence entry must be a non-negative int or inf: {v!r}")
+    for i, (u, v) in enumerate(zip(entries, entries[1:]), start=1):
+        if v < u:
+            return i, NotNonDecreasing(f"term {i + 1} ({v}) is below term {i} ({u})")
+    if tail is not None and tail.kind == "constant":
+        n, c = len(entries), tail.value
+        if n and entries[-1] > c:
+            return n, NotNonDecreasing(f"term {n} ({entries[-1]}) exceeds the constant tail {c}")
+    return None
 
-    Construction checks only that entries are well-typed, and records an
-    unknown tail after a prefix ending in inf as infinite, since that inf
-    forces every later value.  Monotonicity and tail consistency are the
-    job of `check_non_decreasing`, and every operation that needs them
-    verifies first.  Equality is semantic: two values compare equal when
-    they denote the same total function, e.g. a prefix ending in the
-    constant-tail value equals the shorter prefix.
+
+class NumberSequence:
+    """Finite prefix of a non-decreasing sequence over ExtNat, plus a tail descriptor.
+
+    Construction enforces the type's one rule, which every operation then
+    trusts: each entry is a non-negative int or inf, at least the one before
+    it, and at most a constant tail.  An unknown tail after a prefix ending
+    in inf is recorded as infinite, since that inf forces every later value.
+    Equality is semantic: two values compare equal when they denote the same
+    total function, e.g. a prefix ending in the constant-tail value equals
+    the shorter prefix.
     """
 
     __slots__ = ("_prefix", "_tail")
 
     def __init__(self, prefix: Iterable[ExtNat], tail: Tail) -> None:
         entries = tuple(prefix)
-        if not _all_extnat(entries):
-            v = next(v for v in entries if not is_extnat(v))
-            raise ValueError(f"sequence entry must be a non-negative int or inf: {v!r}")
         if not isinstance(tail, Tail):
             raise TypeError("tail must be a Tail")
-        if tail.kind == "unknown" and entries and entries[-1] is INF:
+        # Each entry of type exactly `int` or INF, in C-level passes: count the
+        # `int` entries, then the INF ones if that falls short.
+        n = len(entries)
+        ints = countOf(map(type, entries), int)
+        if ints < n and ints + countOf(map(is_, entries, repeat(INF)), True) < n:
+            raise sequence_fault(entries, tail)[1]
+        # Then each at least the one before it, from 0 on, so none is negative.
+        last: ExtNat = 0
+        for v in entries:
+            if v < last:
+                raise sequence_fault(entries, tail)[1]
+            last = v
+        if tail.kind == "constant" and last > tail.value:
+            raise sequence_fault(entries, tail)[1]
+        if tail.kind == "unknown" and last is INF:
             tail = Tail.infinite()
         self._prefix = entries
         self._tail = tail
@@ -171,15 +190,11 @@ class NumberSequence:
         return NumberSequence(self.values(shown), self._tail if shown > k else Tail.unknown())
 
     def _canonical(self) -> tuple[tuple[ExtNat, ...], Tail]:
-        t = self._tail
-        p = list(self._prefix)
-        if t.kind == "constant":
-            while p and p[-1] == t.value:
-                p.pop()
-        elif t.kind == "infinite":
-            while p and p[-1] is INF:
-                p.pop()
-        return tuple(p), t
+        # The prefix without its last run, which a constant or infinite tail repeats.
+        t, p = self._tail, self._prefix
+        if t.kind != "unknown":
+            p = p[: bisect_left(p, INF if t.kind == "infinite" else t.value)]
+        return p, t
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NumberSequence):
@@ -191,10 +206,6 @@ class NumberSequence:
 
     def __repr__(self) -> str:
         return f"NumberSequence({self._prefix!r}, {self._tail!r})"
-
-    def __str__(self) -> str:
-        terms = ", ".join("inf" if v is INF else str(v) for v in self._prefix)
-        return f"({terms}) tail {self._tail}"
 
 
 @dataclass(frozen=True)
@@ -210,7 +221,6 @@ class IntSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(self.elements))
-        require_bound(self.horizon, "horizon", least=0)
         prev = 0
         for e in self.elements:
             if type(e) is not int or e < 1:
@@ -218,10 +228,9 @@ class IntSet:
             if e <= prev:
                 raise NotSorted(f"set elements must be strictly increasing: {e} after {prev}")
             prev = e
-        if self.elements and self.elements[-1] > self.horizon:
-            raise HorizonExceeded(
-                f"element {self.elements[-1]} lies beyond the horizon {self.horizon}"
-            )
+        require_bound(self.horizon, "horizon", least=0)
+        if prev > self.horizon:
+            raise HorizonExceeded(f"element {prev} lies beyond the horizon {self.horizon}")
 
     def __str__(self) -> str:
         inner = ", ".join(str(e) for e in self.elements)
@@ -245,26 +254,6 @@ class Verdict:
         return f"{self.kind}({self.witness})"
 
 
-def check_non_decreasing(s: NumberSequence) -> bool:
-    """True iff the prefix is non-decreasing and consistent with the tail."""
-    p = s.prefix
-    prev: ExtNat = 0
-    for v in p:
-        if v < prev:
-            return False
-        prev = v
-    if s.tail.kind == "constant" and p:
-        # Constant tails demand a finite sequence bounded by the constant:
-        # once the prefix is non-decreasing, its last term (INF exceeds any).
-        return p[-1] <= s.tail.value
-    return True
-
-
-def _require_non_decreasing(s: NumberSequence) -> None:
-    if not check_non_decreasing(s):
-        raise NotNonDecreasing(f"sequence is not non-decreasing: {s}")
-
-
 def inverse_horizon(f: NumberSequence) -> ExtNat:
     """Largest n for which g(n) of `invert(f)` is answerable (INF if all)."""
     if f.tail.kind != "unknown":
@@ -286,8 +275,7 @@ def invert(f: NumberSequence, upto: Optional[int] = None) -> NumberSequence:
     yields g known exactly for n up to the last prefix value.  A window
     builds only its terms, since g(n) for n <= upto counts only f(m) < upto.
     """
-    _require_non_decreasing(f)
-    # In a valid sequence the INF entries, if any, end the prefix.
+    # The INF entries, if any, end the prefix.
     run = f.prefix[: bisect_left(f.prefix, INF)]
     t = f.tail
     if t.kind == "infinite":
@@ -319,14 +307,13 @@ def grid_witness(
 
     Returns None when every pair satisfies exactly one of f(m) < n,
     g(n) < m; otherwise (m, n, "both" | "neither"), the first in m-major
-    order.  g must be non-decreasing, so in row m the n with g(n) < m are
+    order.  g is non-decreasing, so in row m the n with g(n) < m are
     1..p for p = #{n <= N : g(n) < m}, and the n with f(m) < n are q+1..N
     for q = min(f(m), N).  The row is clean iff p == q; otherwise both
     hold first at n = q+1 (p > q) or neither at n = p+1 (p < q).
     """
     require_bound(M, "window dimension M")
     require_bound(N, "window dimension N")
-    _require_non_decreasing(g)
     fv, gv = f.values(M), g.values(N)
     for m, fm in enumerate(fv, start=1):
         p, q = bisect_left(gv, m), min(fm, N)
@@ -351,7 +338,6 @@ def hat(f: NumberSequence, K: int) -> IntSet:
     unknown tail the request must satisfy K <= N + f(N), since indices past
     the prefix could contribute values as small as N + 1 + f(N).
     """
-    _require_non_decreasing(f)
     require_bound(K, "hat window bound")
     if K > hat_horizon(f):
         raise HorizonExceeded(
@@ -392,19 +378,15 @@ def check_complementary(A: IntSet, B: IntSet, K: int) -> Verdict:
         raise HorizonExceeded(
             f"window {K} exceeds a set horizon ({A.horizon}, {B.horizon})"
         )
-    in_a = set(A.elements)
-    in_b = set(B.elements)
-    first_gap: Optional[int] = None
-    for i in range(1, K + 1):
-        a = i in in_a
-        b = i in in_b
-        if a and b:
-            return Verdict("overlap", i)
-        if not a and not b and first_gap is None:
-            first_gap = i
-    if first_gap is not None:
-        return Verdict("gap", first_gap)
-    return Verdict("partition")
+    a = A.elements[: bisect_right(A.elements, K)]
+    b = B.elements[: bisect_right(B.elements, K)]
+    overlap = min(set(a).intersection(b), default=None)
+    if overlap is not None:
+        return Verdict("overlap", overlap)
+    # Disjoint and each increasing from 1 on, the merged elements equal
+    # 1, 2, .. up to their first gap and differ from there: count the equal.
+    covered = countOf(map(eq, sorted(a + b), count(1)), True)
+    return Verdict("partition") if covered == K else Verdict("gap", covered + 1)
 
 
 def classify(f: NumberSequence) -> str:
@@ -414,7 +396,6 @@ def classify(f: NumberSequence) -> str:
     sequence; "all_finite_unbounded_window" only reports what the known
     prefix shows and claims nothing beyond it.
     """
-    _require_non_decreasing(f)
     t = f.tail
     if t.kind == "constant":
         return "bounded"

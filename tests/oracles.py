@@ -34,7 +34,10 @@ former counting inverse, one `bisect_left` per output term.
 `pointwise_induced_inverse` is the map route's former inverse, one
 `inverse_eval` per index instead of one walk over the crossings.
 `scan_parse_text` is the text files' former scanner, which reads every
-line on its own.
+line on its own.  `check_non_decreasing` is the sequence order rule as the
+operations checked it before `NumberSequence` did, and
+`scan_complementary` the complementarity check's former loop over the
+integers of the window.
 """
 
 from __future__ import annotations
@@ -103,6 +106,37 @@ def bisect_invert(f) -> tuple[list[int], tuple]:
     tail = {"infinite": ("constant", len(run)), "constant": ("infinite", None),
             "unknown": ("unknown", None)}[kind]
     return [bisect_left(run, n) for n in range(1, top + 1)], tail
+
+
+def check_non_decreasing(prefix, tail) -> bool:
+    """True iff the prefix is non-decreasing from 0 on and, for a constant
+    tail, ends at most at its value; `tail` is read by its `kind` and
+    `value`."""
+    prev = 0
+    for v in prefix:
+        if v < prev:
+            return False
+        prev = v
+    return tail.kind != "constant" or prev <= tail.value
+
+
+def scan_complementary(A, B, K: int) -> tuple:
+    """(kind, witness) of the verdict on A and B over [1, K]: the smallest
+    integer in both sets if there is one, else the smallest in neither, by a
+    scan over every integer of the window."""
+    in_a = set(A.elements)
+    in_b = set(B.elements)
+    first_gap = None
+    for i in range(1, K + 1):
+        a = i in in_a
+        b = i in in_b
+        if a and b:
+            return ("overlap", i)
+        if not a and not b and first_gap is None:
+            first_gap = i
+    if first_gap is not None:
+        return ("gap", first_gap)
+    return ("partition", None)
 
 
 def scan_grid_witness(f, g, M: int, N: int):

@@ -49,6 +49,28 @@ class TestInvert:
         code, _, err = run(capsys, "invert", f)
         assert code == 2 and "NotNonDecreasing" in err
 
+    @pytest.mark.parametrize("name, text, where", [
+        ("bad.txt", "1\n# note\n3\n2\n#tail unknown\n", "line 4: term 3 (2) is below term 2 (3)"),
+        ("bad.json", '{"terms": [1, 3, 2], "tail": {"kind": "unknown"}}',
+         "term 3 (2) is below term 2 (3)"),
+        ("tail.txt", "1\n3\n\n#tail constant 2\n", "line 4: term 2 (3) exceeds the constant tail 2"),
+        ("tail.json", '{"terms": [1, 3], "tail": {"kind": "constant", "value": 2}}',
+         "term 2 (3) exceeds the constant tail 2"),
+    ])
+    def test_order_error_names_its_line_or_term(self, tmp_path, capsys, name, text, where):
+        f = write(tmp_path, name, text)
+        for cmd in (["invert", f], ["hat", f, "1"], ["classify", f], ["construct-phi", f]):
+            code, out, err = run(capsys, *cmd)
+            assert (code, out, err) == (2, "", f"lamo: NotNonDecreasing: {where}\n")
+
+    def test_order_error_in_a_long_file_is_short(self, tmp_path, capsys):
+        terms = list(range(1, 10**5 + 1))
+        terms[50000] = 3
+        f = write(tmp_path, "long.txt", "\n".join(map(str, terms)) + "\n")
+        for cmd in (["invert", f], ["classify", f], ["construct-phi", f]):
+            code, _, err = run(capsys, *cmd)
+            assert code == 2 and "line 50001" in err and len(err) < 200
+
     def test_empty_window_exits_3(self, tmp_path, capsys):
         f = write(tmp_path, "zero.txt", "0\n0\n#tail unknown\n")
         code, _, err = run(capsys, "invert", f)
@@ -208,6 +230,26 @@ class TestHatUnhat:
         code, _, err = run(capsys, "unhat", setfile)
         assert code == 2 and "NotSorted" in err
 
+    @pytest.mark.parametrize("text, err", [
+        ("1\n5\n3\n#horizon 9\n",
+         "NotSorted: line 3: set elements must be strictly increasing: 3 after 5"),
+        ("1\n-5\n", "NotPositive: line 2: set element must be a positive integer: -5"),
+        ("# first\n0\n", "NotPositive: line 2: set element must be a positive integer: 0"),
+        ('{"elements": [1, 5, 3], "horizon": 9}',
+         "NotSorted: element 3: set elements must be strictly increasing: 3 after 5"),
+        ('{"elements": [1, -5], "horizon": 9}',
+         "NotPositive: element 2: set element must be a positive integer: -5"),
+    ])
+    def test_unhat_rejected_element_names_its_line(self, capsys, monkeypatch, text, err):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run(capsys, "unhat", "-") == (2, "", f"lamo: {err}\n")
+
+    def test_unhat_negative_horizon_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1\n#horizon -1\n"))
+        code, out, err = run(capsys, "unhat", "-")
+        assert code == 2 and out == ""
+        assert err == "lamo: NotPositive: horizon must be a non-negative integer, got -1\n"
+
     def test_unhat_element_beyond_own_horizon_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1\n2\n5\n#horizon 3\n"))
         code, _, err = run(capsys, "unhat", "-")
@@ -253,6 +295,12 @@ class TestCheck:
         g = write(tmp_path, "g.txt", "2\n1\n#tail unknown\n")
         code, _, err = run(capsys, "check", f, g, "3", "3", "4")
         assert code == 2 and "NotNonDecreasing" in err
+
+    def test_order_error_in_f_comes_first(self, tmp_path, capsys):
+        f = write(tmp_path, "f.txt", "1\n3\n2\n")
+        g = write(tmp_path, "g.txt", "2\n1\n")
+        code, _, err = run(capsys, "check", f, g, "1", "1", "1")
+        assert (code, err) == (2, "lamo: NotNonDecreasing: line 3: term 3 (2) is below term 2 (3)\n")
 
     def test_mismatched_horizon_exits_3(self, tmp_path, capsys):
         f = write(tmp_path, "f.txt", "1\n2\n3\n#tail unknown\n")

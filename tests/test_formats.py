@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import lamo.formats
 from lamo import INF, IntSet, LinearMap, NumberSequence, PiecewiseMap, Tail, simulate
-from lamo.errors import LamoError, ParseError
+from lamo.errors import LamoError, NotNonDecreasing, ParseError
 from lamo.exact import ExactNumber
 from lamo.formats import (
     events_to_json,
@@ -106,6 +106,21 @@ class TestSequenceText:
     def test_each_error_names_its_line(self, text, line):
         with pytest.raises(ParseError, match=f"^line {line}: "):
             parse_sequence_text(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0\n# note\n2\n1\n", "line 4: term 3 (1) is below term 2 (2)"),
+            ("0\ninf\n1\n#tail infinite\n", "line 3: term 3 (1) is below term 2 (inf)"),
+            ("0\n2\n\n#tail constant 1\n", "line 4: term 2 (2) exceeds the constant tail 1"),
+            # A term at fault is named before a tail at fault.
+            ("2\n1\n#tail sometimes\n", "line 2: term 2 (1) is below term 1 (2)"),
+        ],
+    )
+    def test_order_error_names_its_line(self, text, message):
+        with pytest.raises(NotNonDecreasing) as e:
+            parse_sequence_text(text)
+        assert str(e.value) == message
 
     @pytest.mark.parametrize("token", ["1_0", "+2", "３", "1٣", "-+1"])
     def test_one_integer_spelling(self, token):

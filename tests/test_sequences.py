@@ -12,7 +12,6 @@ from lamo import (
     Tail,
     Verdict,
     check_complementary,
-    check_non_decreasing,
     classify,
     corollary_sets,
     from_set,
@@ -34,7 +33,13 @@ from lamo.errors import (
 import lamo.sequences
 
 from gen import mutate_pair
-from oracles import bisect_invert, counting_inverse, scan_grid_witness
+from oracles import (
+    bisect_invert,
+    check_non_decreasing,
+    counting_inverse,
+    scan_complementary,
+    scan_grid_witness,
+)
 
 
 def seq(vals, tail):
@@ -75,18 +80,69 @@ def outcome(fn, *args):
         return type(e)
 
 
+# Prefixes of ints (negative ones too), inf and values of other types.
+EXTNAT_LIKE = st.lists(
+    st.one_of(st.integers(-2, 12), st.just(INF), st.sampled_from((True, 1.5, "3"))),
+    max_size=10,
+)
+TAILS = st.one_of(st.sampled_from((Tail.unknown(), Tail.infinite())),
+                  st.integers(0, 12).map(Tail.constant))
+
+
 class TestValidation:
     def test_non_decreasing_examples(self):
-        assert check_non_decreasing(seq((0, 0, 1, 4), Tail.infinite()))
-        assert not check_non_decreasing(seq((2, 1), Tail.unknown()))
-        assert not check_non_decreasing(seq((3, 3), Tail.constant(2)))
+        assert seq((0, 0, 1, 4), Tail.infinite()).prefix == (0, 0, 1, 4)
+        with pytest.raises(NotNonDecreasing, match=r"^term 2 \(1\) is below term 1 \(2\)$"):
+            seq((2, 1), Tail.unknown())
+        with pytest.raises(NotNonDecreasing, match=r"^term 2 \(3\) exceeds the constant tail 2$"):
+            seq((3, 3), Tail.constant(2))
 
     def test_inf_only_at_the_end(self):
-        assert check_non_decreasing(seq((1, INF, INF), Tail.infinite()))
-        assert not check_non_decreasing(seq((INF, 1), Tail.infinite()))
+        assert seq((1, INF, INF), Tail.infinite()).prefix == (1, INF, INF)
+        with pytest.raises(NotNonDecreasing, match=r"^term 2 \(1\) is below term 1 \(inf\)$"):
+            seq((INF, 1), Tail.infinite())
 
     def test_constant_tail_rejects_inf_prefix(self):
-        assert not check_non_decreasing(seq((1, INF), Tail.constant(5)))
+        with pytest.raises(NotNonDecreasing, match=r"^term 2 \(inf\) exceeds the constant tail 5$"):
+            seq((1, INF), Tail.constant(5))
+
+    def test_bad_entry_outranks_descent(self):
+        with pytest.raises(ValueError, match="inf: -2$"):
+            seq((3, 1, -2), Tail.unknown())
+        with pytest.raises(ValueError, match="inf: 1.5$"):
+            seq((3, 1, 1.5), Tail.constant(0))
+
+    def test_order_message_is_bounded(self):
+        terms = list(range(10**5))
+        terms[50000] = 3
+        with pytest.raises(NotNonDecreasing) as e:
+            seq(terms, Tail.unknown())
+        assert str(e.value) == "term 50001 (3) is below term 50000 (49999)"
+
+    @given(EXTNAT_LIKE, TAILS)
+    @example([0, 2, 1], Tail.unknown())
+    @example([2, -1], Tail.constant(0))
+    @example([1, INF], Tail.constant(3))
+    @example([INF, 2], Tail.infinite())
+    def test_builds_exactly_when_the_oracle_holds(self, entries, tail):
+        typed = all(lamo.sequences.is_extnat(v) for v in entries)
+        if typed and check_non_decreasing(entries, tail):
+            assert seq(entries, tail).prefix == tuple(entries)
+            return
+        with pytest.raises((ValueError, NotNonDecreasing)) as e:
+            seq(entries, tail)
+        i, fault = lamo.sequences.sequence_fault(tuple(entries), tail)
+        assert type(e.value) is type(fault) and str(e.value) == str(fault)
+        if typed:
+            # The first prefix that the oracle rejects, or the tail after all of them.
+            descent = next((j for j in range(len(entries))
+                            if not check_non_decreasing(entries[: j + 1], Tail.unknown())),
+                           len(entries))
+            assert isinstance(fault, NotNonDecreasing) and i == descent
+            assert str(fault).startswith(f"term {i + 1 if i < len(entries) else i} ")
+        else:
+            assert type(fault) is ValueError and i == next(
+                j for j, v in enumerate(entries) if not lamo.sequences.is_extnat(v))
 
     def test_entry_type_checked(self):
         with pytest.raises(ValueError):
@@ -316,7 +372,8 @@ class TestInvert:
 
     @given(sequences_st())
     def test_output_non_decreasing(self, f):
-        assert check_non_decreasing(invert(f))
+        g = invert(f)
+        assert check_non_decreasing(g.prefix, g.tail)
 
     @given(sequences_st())
     def test_one_of_any_pair_is_inf_free(self, f):
@@ -437,6 +494,25 @@ class TestFromSet:
             assert hat(f, K).elements == s.elements
 
 
+@st.composite
+def set_pairs(draw):
+    """(A, B, K): a split of [1, K + extra] into two sets, a split with one
+    element added to A or dropped from both, or two unrelated sets; horizons
+    reach K or beyond."""
+    K = draw(st.integers(1, 30))
+    top = K + draw(st.integers(0, 5))
+    a = draw(st.sets(st.integers(1, top)))
+    b = set(range(1, top + 1)) - a
+    pairing = draw(st.sampled_from(("split", "mutated", "unrelated")))
+    if pairing == "unrelated":
+        b = draw(st.sets(st.integers(1, top)))
+    elif pairing == "mutated":
+        e = draw(st.integers(1, top))
+        a, b = (a | {e}, b) if draw(st.booleans()) else (a - {e}, b - {e})
+    horizon = lambda: top + draw(st.integers(0, 3))
+    return IntSet(tuple(sorted(a)), horizon()), IntSet(tuple(sorted(b)), horizon()), K
+
+
 class TestComplementary:
     def test_evens_and_odds(self):
         A = IntSet(tuple(range(2, 21, 2)), 20)
@@ -450,6 +526,15 @@ class TestComplementary:
 
     def test_gap(self):
         assert check_complementary(IntSet((1, 2, 3), 5), IntSet((5,), 5), 5) == Verdict("gap", 4)
+
+    @given(set_pairs())
+    @settings(max_examples=300)
+    @example((IntSet((1, 3), 3), IntSet((2,), 3), 3))
+    @example((IntSet((1, 3), 4), IntSet((2,), 4), 4))
+    @example((IntSet((2, 5), 5), IntSet((1, 3, 5), 5), 4))
+    def test_matches_window_scan(self, case):
+        v = check_complementary(*case)
+        assert (v.kind, v.witness) == scan_complementary(*case)
 
     def test_horizon_guard(self):
         with pytest.raises(HorizonExceeded):
