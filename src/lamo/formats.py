@@ -19,8 +19,10 @@ term or element index (JSON).
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_right
 from fractions import Fraction
+from operator import countOf
 from typing import Any, Callable, Optional, Union
 
 from .continuous import LinearMap, MonotoneMap, PiecewiseMap
@@ -55,6 +57,9 @@ def _decode(text: str, from_json: Callable[[Any], Any], from_text: Callable[[str
     return from_text(text)
 
 
+_PLAIN_HEAD = re.compile(r"[0-9\n\r\t -]*").fullmatch
+
+
 def _plain(text: str) -> bool:  # does int() read only `integer`'s spelling in it?
     return text.isascii() and "_" not in text and "+" not in text
 
@@ -62,24 +67,27 @@ def _plain(text: str) -> bool:  # does int() read only `integer`'s spelling in i
 def _scan(
     text: str, directive: str, inf: bool = False
 ) -> tuple[list[Any], Callable[[int], int], Optional[list[str]]]:
-    """The values of the data lines of a text file, converted by `_ints`, the
-    line number of each, and the arguments of its directive (None when it
-    has none).
+    """The values of the data lines of a text file, as `_ints` converts
+    them, the line number of each, and the arguments of its directive (None
+    when it has none).
 
     `line(i)` is the line of value i, and `line(len(values))` that of the
     directive; only blank and comment lines are recorded.  The lines before
-    the first `#` that starts a line are converted in one pass when they are
-    `_plain` and `int()` reads each of them; the rest goes line by line.
+    the first `#` that starts a line are converted in one pass, as one JSON
+    array, when they hold only digits, `-`, spaces, tabs and line ends:
+    JSON spells an integer as `integer` does, less leading zeros, and fails
+    on every line where the two would differ.  A carriage return that does
+    not end a line, or a head that is one blank line, would add a line that
+    JSON does not see; those texts, and any JSON failure, go line by line.
     """
     head = text[: text.find("\n#") + 1 or len(text)]
-    values: list[Any] = head.splitlines()
     try:
-        if not _plain(head):
+        if not _PLAIN_HEAD(head) or "\r" in head and head.count("\r") != head.count("\r\n"):
             raise ValueError
-        # In place, a slice at a time, so that the strings are freed as they go.
-        for i in range(0, len(values), 4096):
-            values[i : i + 4096] = map(int, values[i : i + 4096])
-    except ValueError:
+        values: list[Any] = json.loads("[" + head.removesuffix("\n").replace("\n", ",") + "]")
+        if not values:
+            raise ValueError
+    except ValueError:  # also past the interpreter's digit limit
         head, values = "", []  # the whole text goes line by line
     first = len(values)
     tokens: list[str] = []
@@ -191,7 +199,13 @@ def sequence_from_json(obj: Any) -> NumberSequence:
     tail = obj.get("tail", {"kind": "unknown"})
     if not isinstance(tail, dict) or "kind" not in tail:
         raise ParseError("sequence JSON 'tail' must be an object with a 'kind'")
-    return _sequence([INF if t == "inf" else t for t in terms], tail["kind"], tail.get("value"))
+    # A copy, in which only the terms from the first "inf" on are compared.
+    try:
+        i = terms.index("inf")
+    except ValueError:
+        i = len(terms)
+    terms = terms[:i] + [INF if t == "inf" else t for t in terms[i:]]
+    return _sequence(terms, tail["kind"], tail.get("value"))
 
 
 def parse_sequence(text: str) -> NumberSequence:
@@ -250,7 +264,7 @@ def intset_from_json(obj: Any) -> IntSet:
         raise ParseError("set JSON must be an object")
     elems = obj.get("elements")
     horizon = obj.get("horizon")
-    if not isinstance(elems, list) or not all(type(e) is int for e in elems):
+    if not isinstance(elems, list) or countOf(map(type, elems), int) != len(elems):
         raise ParseError("set JSON needs an integer 'elements' array")
     if type(horizon) is not int:
         raise ParseError("set JSON needs an integer 'horizon'")

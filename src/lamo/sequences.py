@@ -233,7 +233,7 @@ class IntSet:
             raise HorizonExceeded(f"element {prev} lies beyond the horizon {self.horizon}")
 
     def __str__(self) -> str:
-        inner = ", ".join(str(e) for e in self.elements)
+        inner = ", ".join([str(e) for e in self.elements])
         return f"{{{inner}}} horizon {self.horizon}"
 
 
@@ -383,10 +383,11 @@ def check_complementary(A: IntSet, B: IntSet, K: int) -> Verdict:
     overlap = min(set(a).intersection(b), default=None)
     if overlap is not None:
         return Verdict("overlap", overlap)
+    if len(a) + len(b) == K:  # disjoint in [1, K], they fill it
+        return Verdict("partition")
     # Disjoint and each increasing from 1 on, the merged elements equal
     # 1, 2, .. up to their first gap and differ from there: count the equal.
-    covered = countOf(map(eq, sorted(a + b), count(1)), True)
-    return Verdict("partition") if covered == K else Verdict("gap", covered + 1)
+    return Verdict("gap", countOf(map(eq, sorted(a + b), count(1)), True) + 1)
 
 
 def classify(f: NumberSequence) -> str:

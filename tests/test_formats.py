@@ -201,6 +201,13 @@ class TestSequenceJson:
         with pytest.raises(ParseError, match="^term 2: "):
             sequence_from_json({"terms": [0, term, 4], "tail": {"kind": "weird"}})
 
+    def test_inf_from_its_first_place_on(self):
+        obj = {"terms": [0, 2, "inf", "inf"], "tail": {"kind": "unknown"}}
+        assert sequence_from_json(obj) == NumberSequence((0, 2, INF, INF), Tail.infinite())
+        assert obj["terms"] == [0, 2, "inf", "inf"]  # the caller's list is left as it was
+        with pytest.raises(NotNonDecreasing, match="term 3 \\(3\\) is below term 2 \\(inf\\)"):
+            sequence_from_json({"terms": [0, "inf", 3], "tail": {"kind": "unknown"}})
+
     @pytest.mark.parametrize("kind", ["unknown", "infinite"])
     def test_tail_without_a_value_rejects_one(self, kind):
         with pytest.raises(ParseError, match="carries no value, got 3"):
@@ -254,6 +261,8 @@ class TestIntSetForms:
             intset_from_json({"elements": [1], "horizon": "big"})
         with pytest.raises(ParseError):
             intset_from_json({"elements": [1.5], "horizon": 5})
+        with pytest.raises(ParseError):
+            intset_from_json({"elements": [1, True], "horizon": 5})
 
 
 # Lines of a text file: plain terms, terms padded or split by whitespace and
@@ -262,7 +271,8 @@ class TestIntSetForms:
 _DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 _TERMS = st.integers(0, 10**6).map(str)
 _ODD = st.sampled_from(["inf", "-3", "1_0", "+2", "３", "1 2", "5 # five", "5#", "x", "2.5",
-                        "1" * (_DIGITS + 1), "\x0c", "5\x0c", "\x1c5", "1\x0c2", "1\x1c2"])
+                        "1" * (_DIGITS + 1), "\x0c", "5\x0c", "\x1c5", "1\x0c2", "1\x1c2",
+                        "007", "-0", "-01", "1e3", "-", "1-2", "true", "[5]", "5\r ", "\r"])
 _PADDED = st.tuples(st.sampled_from(["", " ", "\t"]), _TERMS,
                     st.sampled_from(["", " ", "\t", "\r", "\x0c"])).map("".join)
 _COMMENTS = st.sampled_from(["# note", "#", "#tailored", "#horizonx 3", "  # indented", "\t#"])
@@ -277,14 +287,19 @@ _LINES = st.one_of(_TERMS, _PADDED, _ODD, _COMMENTS, _BLANKS, _DIRECTIVES)
 
 @st.composite
 def text_files(draw):
-    """A text file: comments, then increasing terms, then a `#` line or not,
-    then any lines, with `\n`, `\r\n` or `\r` endings and a final one or not."""
+    """A text file: comments, then increasing terms among which up to two
+    other lines, then a `#` line or not, then any lines, with `\n`, `\r\n`
+    or `\r` endings and a final one or not."""
     before = draw(st.lists(st.one_of(_COMMENTS, _BLANKS), max_size=2))
     steps = draw(st.lists(st.integers(1, 9), max_size=12))
+    terms = [str(v) for v in accumulate(steps)]
+    for i, line in draw(st.lists(st.tuples(st.integers(0, 12), st.one_of(_PADDED, _ODD, _BLANKS)),
+                                 max_size=2)):
+        terms.insert(i, line)
     mark = draw(st.lists(st.sampled_from(["# note", "#tail unknown", "#horizon 70"]), max_size=1))
     after = draw(st.lists(_LINES, max_size=8))
     ending = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
-    lines = before + [str(v) for v in accumulate(steps)] + mark + after
+    lines = before + terms + mark + after
     return ending.join(lines) + (ending if lines and draw(st.booleans()) else "")
 
 
@@ -310,6 +325,24 @@ class TestScanRoutes:
     @example("1\n2\n#horizon 9\n5\n")
     @example("3\n1\n#horizon 1 2\n")
     @example("1\n2")
+    # Where JSON and int() read a line differently, or JSON sees fewer lines.
+    @example("007\n8\n#tail constant 9\n")
+    @example("-0\n1\n#horizon 2\n")
+    @example("1\n-01\n#tail unknown\n")
+    @example(" 5\t\n6\n#tail constant 5\n")
+    @example("1\n1e3\n")
+    @example("1.0\n2\n")
+    @example("1 2\n3\n")
+    @example("1\n-\n")
+    @example("--1\n2\n")
+    @example("1-2\n")
+    @example("1\x0b2\n3\n")
+    @example("true\n")
+    @example("1\n" + "7" * 5000 + "\n#tail unknown\n")
+    @example("2\r \n1\n")
+    @example("2\r\r\n1\n#horizon 1\n")
+    @example("\n#tail constant -1\n")
+    @example(" \r\n#horizon 1 2\n")
     def test_same_as_the_per_line_route(self, text):
         for parse in (parse_sequence_text, parse_intset_text):
             got = _parsed(parse, text)
@@ -324,9 +357,12 @@ class TestScanRoutes:
         ("1\n\n2\n#tail constant 5\n", [["1", "2"], ["5"]]),
         ("1\ninf\n#tail infinite\n", [["1", "inf"]]),
         ("# note\n1\n2\n", [["1", "2"]]),
+        ("007\n8\n#tail constant 9\n", [["007", "8"], ["9"]]),
+        ("1\r\n2\r\n# note\r\n3\r\n", [["3"]]),
+        ("1\r \n2\n", [["1", "2"]]),
     ])
     def test_only_the_rest_goes_line_by_line(self, text, per_line):
-        # The data lines before the first `#` line, when all are plain
+        # The data lines before the first `#` line, when JSON reads them as
         # integers, never reach the per-line converter `_ints`.
         seen = []
         real = lamo.formats._ints

@@ -532,6 +532,9 @@ class TestComplementary:
     @example((IntSet((1, 3), 3), IntSet((2,), 3), 3))
     @example((IntSet((1, 3), 4), IntSet((2,), 4), 4))
     @example((IntSet((2, 5), 5), IntSet((1, 3, 5), 5), 4))
+    @example((IntSet((1, 4), 6), IntSet((2, 5), 6), 5))  # disjoint, with a gap
+    @example((IntSet((1, 2), 4), IntSet((2, 3), 4), 4))  # overlapping, K elements
+    @example((IntSet((1, 2, 5), 5), IntSet((4,), 5), 4))  # K elements only uncut
     def test_matches_window_scan(self, case):
         v = check_complementary(*case)
         assert (v.kind, v.witness) == scan_complementary(*case)
