@@ -17,7 +17,7 @@ linear special case.
 
 A linear map takes integer-only routes.  Its pair is Beatty's,
 {floor(n*(1+lambda))} and {floor(n*(1+1/lambda))}, read off
-`ExactNumber.multiple_floors` with one isqrt per term; its lattice
+`ExactNumber.multiple_floors` with one shift per term; its lattice
 avoidance is decided in closed form, since lambda*n is an integer only for
 a rational lambda = p/q in lowest terms and then first at n = q.  A
 piecewise map reads S_Y off its anchors, phi(n) + n = anchor(n) + n, and

@@ -17,13 +17,15 @@ consulted anywhere.
 
 Two routes build no intermediate values.  `compare` takes the sign of the
 numerator of x - y, (a1*c2 - a2*c1) + (b1*c2 - b2*c1)*sqrt(d), straight from
-the fields, with the same sign rule as `sign`.  `floor` and
-`multiple_floors`, the floors of n*x for n = 1, 2, .. up to a bound, share
-one integer rule: floor(n*(a + b*sqrt(d))/c) is (a*n + isqrt(b*b*d*n*n)) // c
-for b >= 0 and (a*n - isqrt(b*b*d*n*n) - 1) // c for b < 0, so a Beatty
-sequence costs one isqrt per term and no ExactNumber.  `floor(scale)`
-applies the rule's first term directly to the fields scaled by `scale`, so
-floor(scale*x) costs one isqrt, no ExactNumber and no generator.
+the fields, with the same sign rule as `sign`.  `floor(scale)` reads the
+floor of scale*x off the scaled fields with one isqrt.  `multiple_floors`
+takes k = floor(n*x) for all n <= N = floor((K+1)/x) in one shift pass.
+For u = n*a - (k+1)*c and v = n*b, u*u - v*v*d is a non-zero integer and
+|u - v*sqrt(d)| <= c + 2*n*|b|*sqrt(d), so n*x lies at least
+1/(c*(c + 2*n*|b|*sqrt(d))) below k + 1.  With the smallest m such that
+2^m > N*c*(c + 2*N*|b|*(isqrt(d) + 1)), and p = floor(x*2^m) + 1,
+n*x < n*p/2^m <= n*x + n/2^m < k + 1, so k = (n*p) >> m: no isqrt and no
+ExactNumber per term.
 
 Results whose fields are already in range go through the internal
 constructor `ExactNumber._new(a, b, d, c)`: it takes c >= 1 and a radicand
@@ -41,10 +43,10 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from functools import total_ordering
-from itertools import count, takewhile
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import IncompatibleRadicands, ParseError, ZeroDenominator
 
@@ -77,24 +79,6 @@ def _numerator_sign(a: int, b: int, d: int) -> int:
     # Opposite signs: compare a*a against b*b*d after isolating the radical.
     k = a * a - b * b * d
     return _sign(k) if a > 0 else -_sign(k)
-
-
-def _multiple_floors(a: int, b: int, d: int, c: int) -> Iterator[int]:
-    """floor(n*(a + b*sqrt(d))/c) for n = 1, 2, .., for c >= 1 and d
-    non-square whenever b != 0.
-
-    n*b*sqrt(d) is then irrational, so it lies strictly between s and s+1
-    (resp. -(s+1) and -s) for s = isqrt(b*b*d*n*n); and
-    floor(y/c) = floor(floor(y)/c) for the integer c >= 1.  For b = 0,
-    s = 0 and the term is a*n // c.
-    """
-    bbd = b * b * d
-    if b >= 0:
-        for n in count(1):
-            yield (a * n + math.isqrt(bbd * n * n)) // c
-    else:
-        for n in count(1):
-            yield (a * n - math.isqrt(bbd * n * n) - 1) // c
 
 
 _SPLIT_RE = re.compile(r"\w\s+\w")
@@ -346,9 +330,9 @@ class ExactNumber:
     # -- floor ----------------------------------------------------------
 
     def floor(self, scale: int = 1) -> int:
-        """The unique integer n with n <= scale*x < n+1, for an int scale >= 1,
-        decided exactly: the term n = 1 of `_multiple_floors`' rule on the
-        fields scaled by `scale`."""
+        """The unique integer n with n <= scale*x < n+1, for an int scale:
+        the scaled b*sqrt(d) is irrational whenever b != 0, so its floor is
+        isqrt(b*b*d), or -isqrt(b*b*d) - 1 for b < 0."""
         a, b = self._a * scale, self._b * scale
         s = math.isqrt(b * b * self._d)
         return (a + s) // self._c if b >= 0 else (a - s - 1) // self._c
@@ -356,12 +340,20 @@ class ExactNumber:
     def multiple_floors(self, K: int) -> list[int]:
         """[floor(x), floor(2x), ..] up to the last value <= K, for x > 0.
 
-        One isqrt per term, on the fields scaled by n: no ExactNumber is
-        built per term.
+        Term n is (n*p) >> m (module docstring).  A rational x can reach K+1
+        exactly at n = N = floor((K+1)/x); that term is cut.
         """
         if self.sign() <= 0:
             raise ValueError(f"multiple floors need a positive value, got {self}")
-        return list(takewhile(K.__ge__, _multiple_floors(self._a, self._b, self._d, self._c)))
+        N = self.reciprocal().floor(K + 1)
+        if N < 1:
+            return []
+        c = self._c
+        m = (N * c * (c + 2 * N * abs(self._b) * (math.isqrt(self._d) + 1))).bit_length()
+        p = self.floor(1 << m) + 1
+        out = [v >> m for v in range(p, (N + 1) * p, p)]
+        del out[bisect_right(out, K):]
+        return out
 
     # -- text form --------------------------------------------------------
 

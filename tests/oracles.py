@@ -37,7 +37,9 @@ former counting inverse, one `bisect_left` per output term.
 line on its own.  `check_non_decreasing` is the sequence order rule as the
 operations checked it before `NumberSequence` did, and
 `scan_complementary` the complementarity check's former loop over the
-integers of the window.
+integers of the window.  `isqrt_multiple_floors` is the former rule for the
+floors of n*x, one isqrt per term, which the shift pass of
+`multiple_floors` is checked against.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from decimal import Decimal, localcontext
-from itertools import groupby
+from itertools import count, groupby, takewhile
 from operator import itemgetter
 
 from lamo.errors import OutsideImage, ParseError
@@ -152,6 +154,23 @@ def scan_grid_witness(f, g, M: int, N: int):
             if first == (gv[n - 1] < m):
                 return (m, n, "both" if first else "neither")
     return None
+
+
+def isqrt_multiple_floors(a: int, b: int, d: int, c: int, K: int) -> list[int]:
+    """floor(n*(a + b*sqrt(d))/c) for n = 1, 2, .. up to the last value <= K,
+    for a positive value with c >= 1 and d non-square whenever b != 0.
+
+    n*b*sqrt(d) is then irrational, so it lies strictly between s and s+1
+    (resp. -(s+1) and -s) for s = isqrt(b*b*d*n*n); and
+    floor(y/c) = floor(floor(y)/c) for the integer c >= 1.  For b = 0,
+    s = 0 and the term is a*n // c.
+    """
+    bbd = b * b * d
+    if b >= 0:
+        terms = ((a * n + math.isqrt(bbd * n * n)) // c for n in count(1))
+    else:
+        terms = ((a * n - math.isqrt(bbd * n * n) - 1) // c for n in count(1))
+    return list(takewhile(K.__ge__, terms))
 
 
 def _sign_with_root(p: int, q: int, d: int) -> int:

@@ -1,14 +1,15 @@
+import math
 import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lamo.errors import IncompatibleRadicands, ParseError, ZeroDenominator
 from lamo.exact import ExactNumber, checked_isqrt
 
-from oracles import bisect_floor, decimal_floor, subtract_compare
+from oracles import bisect_floor, decimal_floor, isqrt_multiple_floors, subtract_compare
 
 GOLDEN = ExactNumber(-1, 1, 5, 2)
 SQRT2 = ExactNumber.sqrt(2)
@@ -249,6 +250,35 @@ class TestFloor:
     def test_scaled_floor(self, abc, d, scale):
         a, b, c = abc
         assert ExactNumber(a, b, d, c).floor(scale) == bisect_floor(a * scale, b * scale, d, c)
+
+
+@st.composite
+def beatty_slopes(draw):
+    """A positive (a + b*sqrt(d))/c of size about 1/8 to 64, with radicands
+    up to 10**20 and either sign of a and b."""
+    d = draw(st.one_of(st.integers(0, 10**6), st.integers(0, 10**20)))
+    a, b = draw(st.integers(-(10**4), 10**4)), draw(st.integers(-1000, 1000))
+    size = abs(a) + abs(b) * (math.isqrt(d) + 1)
+    x = ExactNumber(a, b, d, max(1, size * draw(st.integers(1, 8)) // draw(st.integers(1, 64))))
+    x = -x if x.sign() < 0 else x
+    assume(x > Fraction(1, 8))
+    return x
+
+
+class TestMultipleFloors:
+    @given(beatty_slopes(), st.integers(-3, 2000))
+    @settings(deadline=None)
+    @example(ExactNumber(1, 0, 0, 3), 0)  # K <= 0
+    @example(ExactNumber(1, 0, 0, 3), -2)
+    @example(ExactNumber(10), 5)  # x > K+1: N = 0
+    @example(ExactNumber(4, 0, 0, 3), 7)  # 6 * 4/3 = K+1 is cut
+    @example(ExactNumber(3, -1, 7, 2), 60)  # x < 1: repeated terms
+    @example(ExactNumber(7, -2, 3, 1), 1000)  # b < 0
+    @example(ExactNumber.sqrt(8), 1000)
+    @example(ExactNumber(0, 1, 99999999999999999999, 10**10), 20000)
+    @example(GOLDEN + 1, 10**5)
+    def test_matches_isqrt_rule(self, x, K):
+        assert x.multiple_floors(K) == isqrt_multiple_floors(x.a, x.b, x.d, x.c, K)
 
 
 class TestInternalConstructor:
