@@ -11,13 +11,11 @@ the origin voided the simulation's recorded sets.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
 import os
 import sys
-from pathlib import Path
 from typing import Any, Iterable, Optional, Union
 
 from . import continuous, formats, runner, sequences
@@ -46,7 +44,10 @@ Report = Union[dict[str, Any], tuple[list[str], Iterable[list[Any]]], str]
 
 def _read_input(path: str) -> str:
     try:
-        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from None
 
@@ -56,6 +57,7 @@ def _render(report: Report) -> str:
         return report
     if isinstance(report, dict):
         return json.dumps(report) + "\n"
+    import csv  # only this format uses it, so other invocations start without it
     header, rows = report
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -308,7 +310,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     payload = _render(report)
     if args.output:
         try:
-            Path(args.output).write_text(payload)
+            with open(args.output, "w") as out:
+                out.write(payload)
         except OSError as e:
             print(f"lamo: cannot write {args.output}: {e}", file=sys.stderr)
             return EXIT_PARSE

@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, takewhile
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     EmptyWindow,
@@ -230,8 +229,7 @@ class PiecewiseMap(MonotoneMap):
         return f"PiecewiseMap({list(self.values)!r}{tail})"
 
 
-@dataclass(frozen=True)
-class Avoidance:
+class Avoidance(NamedTuple):
     """Result of scanning phi(n) for integer values on 1..N."""
 
     checked_through: int

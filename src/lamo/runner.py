@@ -31,7 +31,6 @@ derived from one another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import eq, itemgetter, not_
 from typing import Iterable, NamedTuple
@@ -56,8 +55,7 @@ class Event(NamedTuple):
     count: int
 
 
-@dataclass(frozen=True)
-class EventLog:
+class EventLog(NamedTuple):
     events: tuple[Event, ...]
     horizon_time: ExactNumber
 

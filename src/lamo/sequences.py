@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import chain, count, repeat
-from operator import countOf, eq, is_, mul, sub
-from typing import Iterable, Optional, Sequence, Union
+from operator import attrgetter, countOf, eq, is_, mul, sub
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     EmptyWindow,
@@ -49,23 +48,51 @@ def require_bound(v: object, what: str, least: int = 1) -> None:
         raise NotPositive(f"{what} must be {kind} integer, got {v!r}")
 
 
-@dataclass(frozen=True)
-class Tail:
+class _Record:
+    """An immutable value whose fields are its `__slots__` (two or more), set once by the
+    constructor: equal and hashed by class and field values; its repr names each field."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = property(attrgetter(*cls.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class Tail(_Record):
     """What a sequence does beyond its stored prefix."""
 
-    kind: str  # "unknown" | "constant" | "infinite"
-    value: Optional[int] = None
+    __slots__ = ("kind", "value")  # "unknown" | "constant" | "infinite"; an int for "constant"
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("unknown", "constant", "infinite"):
-            raise ValueError(f"unknown tail kind {self.kind!r}")
-        if self.kind == "constant":
-            if type(self.value) is not int or self.value < 0:
-                raise ValueError(
-                    f"constant tail needs a non-negative integer value, got {self.value!r}"
-                )
-        elif self.value is not None:
-            raise ValueError(f"{self.kind} tail carries no value, got {self.value!r}")
+    def __init__(self, kind: str, value: Optional[int] = None) -> None:
+        if kind not in ("unknown", "constant", "infinite"):
+            raise ValueError(f"unknown tail kind {kind!r}")
+        if kind == "constant":
+            if type(value) is not int or value < 0:
+                raise ValueError(f"constant tail needs a non-negative integer value, got {value!r}")
+        elif value is not None:
+            raise ValueError(f"{kind} tail carries no value, got {value!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
 
     @classmethod
     def unknown(cls) -> Tail:
@@ -208,19 +235,17 @@ class NumberSequence:
         return f"NumberSequence({self._prefix!r}, {self._tail!r})"
 
 
-@dataclass(frozen=True)
-class IntSet:
+class IntSet(_Record):
     """Strictly increasing positive integers with a membership horizon.
 
     `horizon` = K means membership of every integer in [1, K] is fully
     determined by `elements`; nothing is claimed beyond K.
     """
 
-    elements: tuple[int, ...]
-    horizon: int
+    __slots__ = ("elements", "horizon")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(self.elements))
+    def __init__(self, elements: Iterable[int], horizon: int) -> None:
+        object.__setattr__(self, "elements", tuple(elements))
         prev = 0
         for e in self.elements:
             if type(e) is not int or e < 1:
@@ -228,17 +253,17 @@ class IntSet:
             if e <= prev:
                 raise NotSorted(f"set elements must be strictly increasing: {e} after {prev}")
             prev = e
-        require_bound(self.horizon, "horizon", least=0)
-        if prev > self.horizon:
-            raise HorizonExceeded(f"element {prev} lies beyond the horizon {self.horizon}")
+        require_bound(horizon, "horizon", least=0)
+        if prev > horizon:
+            raise HorizonExceeded(f"element {prev} lies beyond the horizon {horizon}")
+        object.__setattr__(self, "horizon", horizon)
 
     def __str__(self) -> str:
         inner = ", ".join([str(e) for e in self.elements])
         return f"{{{inner}}} horizon {self.horizon}"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a complementarity check on [1, K]."""
 
     kind: str  # "partition" | "overlap" | "gap"

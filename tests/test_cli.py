@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -655,3 +657,13 @@ def test_error_table(tmp_path, capsys, monkeypatch, error):
     expected = {"HorizonExceeded": 3, "EmptyWindow": 3, "CollisionPresent": 4}
     assert code == expected.get(error.__name__, 2)
     assert out == "" and err == f"lamo: {error.__name__}: boom\n"
+
+
+def test_import_loads_only_what_every_invocation_uses():
+    # -S keeps site's .pth files from importing any of these first.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import lamo.cli, sys; "
+             "print(*[m for m in ('dataclasses', 'inspect', 'csv', 'pathlib') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "\n"

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 
@@ -6,6 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from lamo import (
     INF,
+    Avoidance,
+    EventLog,
+    ExactNumber,
     IntSet,
     LinearMap,
     NumberSequence,
@@ -249,6 +254,55 @@ class TestEquality:
 
     def test_hash_follows_eq(self):
         assert hash(seq((2,), Tail.constant(2))) == hash(seq((), Tail.constant(2)))
+
+
+RECORDS = ["IntSet", "Tail", "Verdict", "Avoidance", "EventLog"]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("make", [
+        lambda els: IntSet(els, 5),
+        lambda els: Tail("constant", len(els)),
+    ], ids=["IntSet", "Tail"])
+    def test_equal_and_hash_equal_by_value(self, make):
+        a, b = make([1, 2, 4]), make((1, 2, 4))
+        assert a == b and hash(a) == hash(b)
+        assert a != make((1, 2))
+
+    def test_intset_is_not_its_field_tuple(self):
+        assert IntSet((1,), 1) != ((1,), 1)
+
+    @pytest.mark.parametrize("record, field", [
+        (IntSet((1, 2), 3), "horizon"),
+        (Tail.constant(3), "value"),
+        (Verdict("gap", 3), "witness"),
+        (Avoidance(5), "violation"),
+        (EventLog((), ExactNumber(1)), "events"),
+    ], ids=RECORDS)
+    def test_fields_cannot_be_assigned_or_deleted(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 4)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
+
+    @pytest.mark.parametrize("record, text", [
+        (IntSet([1, 2], 3), "IntSet(elements=(1, 2), horizon=3)"),
+        (Tail.constant(3), "Tail(kind='constant', value=3)"),
+        (Verdict("gap", 3), "Verdict(kind='gap', witness=3)"),
+        (Avoidance(5), "Avoidance(checked_through=5, violation=None)"),
+        (EventLog((), ExactNumber(1)), "EventLog(events=(), horizon_time=ExactNumber(1, 0, 0, 1))"),
+    ], ids=RECORDS)
+    def test_repr(self, record, text):
+        assert repr(record) == text
+
+    def test_named_tuples_unpack_and_equal_their_fields(self):
+        kind, witness = Verdict("gap", 3)
+        assert (kind, witness) == ("gap", 3)
+        assert Avoidance(5) == (5, None) and EventLog((), ExactNumber(1)) == ((), ExactNumber(1))
+
+    def test_check_complementary_verdict(self):
+        assert check_complementary(IntSet((1,), 2), IntSet((2,), 2), 2) == Verdict("partition")
 
 
 class TestInvert:
