@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import os
 import sys
-from typing import Any, Iterable, Optional, Union
+from typing import IO, Any, Iterable, Optional, Union
 
 from . import continuous, formats, runner, sequences
 from .errors import CollisionPresent, EmptyWindow, HorizonExceeded, LamoError, ParseError
@@ -52,18 +51,17 @@ def _read_input(path: str) -> str:
         raise ParseError(f"cannot read {path}: {e}") from None
 
 
-def _render(report: Report) -> str:
+def _render(report: Report, out: IO[str]) -> None:
     if isinstance(report, str):
-        return report
-    if isinstance(report, dict):
-        return json.dumps(report) + "\n"
-    import csv  # only this format uses it, so other invocations start without it
-    header, rows = report
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+        out.write(report)
+    elif isinstance(report, dict):
+        out.write(json.dumps(report) + "\n")
+    else:
+        import csv  # only this format uses it, so other invocations start without it
+        header, rows = report
+        w = csv.writer(out, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _sequence_report(s: NumberSequence, fmt: str, horizon: Any, note_horizon: bool) -> Report:
@@ -304,19 +302,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         if getattr(args, "limit", None) is not None:
             sequences.require_bound(args.limit, "--limit", least=0)
         report, code = cmd(args, fmt)
-    except LamoError as e:
+    except (LamoError, OverflowError) as e:
         print(f"lamo: {e.__class__.__name__}: {e}", file=sys.stderr)
         return next((c for cls, c in _ERROR_EXITS.items() if isinstance(e, cls)), EXIT_PARSE)
-    payload = _render(report)
     if args.output:
         try:
             with open(args.output, "w") as out:
-                out.write(payload)
+                _render(report, out)
         except OSError as e:
             print(f"lamo: cannot write {args.output}: {e}", file=sys.stderr)
             return EXIT_PARSE
     else:
-        sys.stdout.write(payload)
+        _render(report, sys.stdout)
     return code
 
 

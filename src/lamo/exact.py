@@ -82,12 +82,11 @@ def _numerator_sign(a: int, b: int, d: int) -> int:
 
 
 _SPLIT_RE = re.compile(r"\w\s+\w")
-_INT_RE = re.compile(r"([+-]?[0-9]+)")
-_RAT_RE = re.compile(r"([+-]?[0-9]+)/([+-]?[0-9]+)")
-_RAD_RE = re.compile(r"([+-]?)(?:([0-9]+)\*)?sqrt\(([0-9]+)\)(?:/([+-]?[0-9]+))?")
-# "(a±b*sqrt(d))/c" with an optional denominator, or "a±b*sqrt(d)" bare.
-_FULL_RE = re.compile(
-    r"(\()?([+-]?[0-9]+)([+-])(?:([0-9]+)\*)?sqrt\(([0-9]+)\)(?(1)\)(?:/([+-]?[0-9]+))?)"
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
+# "b*sqrt(d)", "a±b*sqrt(d)" or "(a±b*sqrt(d))", each with an optional "/c";
+# `parse` refuses "(" without a, and a "/c" after a bare "a±b*sqrt(d)".
+_RADICAL_RE = re.compile(
+    r"(\()?(?:([+-]?[0-9]+)(?=[+-]))?([+-]?)(?:([0-9]+)\*)?sqrt\(([0-9]+)\)(?(1)\))(?:/([+-]?[0-9]+))?"
 )
 
 
@@ -273,8 +272,7 @@ class ExactNumber:
             x._a * y._c + y._a * x._c, x._b * y._c + y._b * x._c, d, x._c * y._c
         )
 
-    def __radd__(self, other: Coercible) -> ExactNumber:
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self) -> ExactNumber:
         return ExactNumber._new(-self._a, -self._b, self._d, self._c)
@@ -297,8 +295,7 @@ class ExactNumber:
             x._a * y._a + x._b * y._b * d, x._a * y._b + x._b * y._a, d, x._c * y._c
         )
 
-    def __rmul__(self, other: Coercible) -> ExactNumber:
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def reciprocal(self) -> ExactNumber:
         if self.is_zero:
@@ -362,16 +359,12 @@ class ExactNumber:
         a, b, c, d = self._a, self._b, self._c, self._d
         if b == 0:
             return str(a) if c == 1 else f"{a}/{c}"
-        if a == 0:
-            if b == 1:
-                head = f"sqrt({d})"
-            elif b == -1:
-                head = f"-sqrt({d})"
-            else:
-                head = f"{b}*sqrt({d})"
-            return head if c == 1 else f"{head}/{c}"
-        sign = "+" if b > 0 else "-"
-        body = f"({a}{sign}{abs(b)}*sqrt({d}))"
+        if a:
+            body = f"({a}{'+' if b > 0 else '-'}{abs(b)}*sqrt({d}))"
+        elif b == 1 or b == -1:
+            body = f"{'-' if b < 0 else ''}sqrt({d})"
+        else:
+            body = f"{b}*sqrt({d})"
         return body if c == 1 else f"{body}/{c}"
 
     @classmethod
@@ -389,21 +382,15 @@ class ExactNumber:
         if "." in s:
             raise ParseError(f"decimal literals are not accepted: {text!r}")
         try:
-            if _INT_RE.fullmatch(s):
-                return cls(int(s))
-            m = _RAT_RE.fullmatch(s)
+            m = _RATIONAL_RE.fullmatch(s)
             if m:
-                return cls.rational(int(m.group(1)), int(m.group(2)))
-            m = _RAD_RE.fullmatch(s)
+                return cls(int(m[1]), 0, 0, int(m[2] or 1))
+            m = _RADICAL_RE.fullmatch(s)
             if m:
-                sgn, coef, rad, den = m.groups()
-                b = (-1 if sgn == "-" else 1) * (int(coef) if coef else 1)
-                return cls(0, b, int(rad), int(den) if den else 1)
-            m = _FULL_RE.fullmatch(s)
-            if m:
-                _, a, sgn, coef, rad, den = m.groups()
-                b = (-1 if sgn == "-" else 1) * (int(coef) if coef else 1)
-                return cls(int(a), b, int(rad), int(den) if den else 1)
+                paren, a, sgn, coef, rad, den = m.groups()
+                if a if paren else not (a and den):
+                    b = (-1 if sgn == "-" else 1) * int(coef or 1)
+                    return cls(int(a or 0), b, int(rad), int(den or 1))
         except ValueError as e:
             # int() refuses more digits than the interpreter's string limit.
             raise ParseError(f"cannot parse exact literal: {e}") from None

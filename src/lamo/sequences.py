@@ -348,12 +348,10 @@ def grid_witness(
 
 
 def hat_horizon(f: NumberSequence) -> ExtNat:
-    """Largest K for which hat(f, K) is answerable."""
-    if f.tail.kind != "unknown":
-        return INF
-    if not f.prefix:
-        return 0
-    return len(f.prefix) + f.prefix[-1]
+    """Largest K for which hat(f, K) is answerable: N + f(N) for a prefix of
+    length N, the prefix's horizon plus the inverse's (INF if all)."""
+    n = f.determined_horizon()
+    return n if n is INF else n + inverse_horizon(f)
 
 
 def hat(f: NumberSequence, K: int) -> IntSet:

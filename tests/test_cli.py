@@ -480,6 +480,20 @@ class TestGlobalFlags:
         assert (code, out) == (2, "")
         assert err.startswith(f"lamo: ParseError: bad {what}: maximum recursion depth exceeded")
 
+    @pytest.mark.parametrize("files, argv", [
+        ({"big.txt": "1\n99999999999999999999\n"}, ["invert", "big.txt"]),
+        ({"c.txt": BOUNDED}, ["invert", "c.txt", "--limit", "99999999999999999999"]),
+        ({"s.txt": "2\n3\n#horizon 4\n"},
+         ["unhat", "s.txt", "--complete", "--limit", "99999999999999999999"]),
+        ({"c.txt": BOUNDED}, ["hat", "c.txt", "99999999999999999999"]),
+    ], ids=["invert_term", "invert_limit", "unhat_limit", "hat_K"])
+    def test_size_past_the_index_range_exits_2(self, tmp_path, capsys, files, argv):
+        for name, text in files.items():
+            write(tmp_path, name, text)
+        code, out, err = run(capsys, *(str(tmp_path / a) if a in files else a for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("lamo: OverflowError: ") and err.count("\n") == 1
+
     def test_env_format_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("LAMO_FORMAT", "json")
         f = write(tmp_path, "f.txt", BOUNDED)

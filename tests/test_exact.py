@@ -350,6 +350,10 @@ class TestParse:
             (" 3/2 ", ExactNumber(3, 0, 0, 2)),
             ("\t3 /\t2\n", ExactNumber(3, 0, 0, 2)),
             ("2 * sqrt (3)", ExactNumber(0, 2, 3, 1)),
+            ("+1+sqrt(2)", ExactNumber(1, 1, 2, 1)),
+            ("(1-sqrt(5))", ExactNumber(1, -1, 5, 1)),
+            ("sqrt(5)/-2", ExactNumber(0, -1, 5, 2)),
+            ("3/-2", ExactNumber(-3, 0, 0, 2)),
         ],
     )
     def test_parse_literals(self, text, value):
@@ -365,7 +369,8 @@ class TestParse:
         "bad",
         ["", "1.5", "sqrt(-2)", "1//2", "one", "(1+)/2", "0.25",
          "1 2", "1\t2", "sq rt(2)", "sqrt(1 0)", "2 sqrt(3)", "３", "sqrt(２)", "1/٣",
-         "1_0"],
+         "1_0", "1+sqrt(5)/2", "(sqrt(5))/2", "(3)/2", "1++sqrt(2)", "-(1+sqrt(5))/2",
+         "(1+sqrt(5)", "1+sqrt(5))", "12sqrt(3)"],
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(ParseError):
