@@ -21,8 +21,10 @@ A linear map takes integer-only routes.  Its pair is Beatty's,
 avoidance is decided in closed form, since lambda*n is an integer only for
 a rational lambda = p/q in lowest terms and then first at n = q.  A
 piecewise map reads S_Y off its anchors, phi(n) + n = anchor(n) + n, and
-S_X off its crossing times; its level times take one Fraction step per
-piece and integer arithmetic per time.
+S_X off its crossing times.  It keeps each anchor as an integer pair
+(p, q) with anchor = p/q, stored up to the last given anchor and given by
+one formula past it, so S_Y and the level times take integer arithmetic
+only: no Fraction per piece and none per time.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import count, islice, takewhile
+from itertools import count, islice, starmap, takewhile
+from operator import add, floordiv
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -123,7 +126,7 @@ class PiecewiseMap(MonotoneMap):
     stored anchor continuously, giving the open image (0, limit).
     """
 
-    __slots__ = ("values", "limit", "_scale")
+    __slots__ = ("values", "limit", "_pairs", "_tail")
 
     def __init__(
         self,
@@ -141,35 +144,37 @@ class PiecewiseMap(MonotoneMap):
                 raise NotSorted(f"anchor values must be strictly increasing: {v} after {prev}")
             prev = v
         self.values = vals
+        self._pairs = ((0, 1), *((v.numerator, v.denominator) for v in vals))
+        n, (a, d) = len(vals), self._pairs[-1]
+        # Past n, anchor(j) = (u*j + v)/(x*j + y) for the ints _tail = (u, v, x, y).
         if saturation_limit is None:
             self.limit = None
-            self._scale = None
+            s = vals[-1] - (vals[-2] if n > 1 else 0)
+            u = s.numerator * d  # vals[-1] + s*(j - n), over d*s.denominator
+            self._tail = (u, a * s.denominator - u * n, 0, d * s.denominator)
         else:
             lim = _fraction(saturation_limit, "saturation limit")
             if lim <= vals[-1]:
                 raise NotSorted(f"saturation limit {lim} must exceed the last anchor {vals[-1]}")
             self.limit = lim
-            # limit - scale/(t+1) passes through the last stored anchor.
-            self._scale = (lim - vals[-1]) * (len(vals) + 1)
+            # lim - scale/(j+1) = (L*(j+1) - S)/(D*(j+1)) over D = d*lim.denominator,
+            # with scale = S/D = (lim - vals[-1])*(n+1) joining anchor n.
+            L, D = lim.numerator * d, lim.denominator * d
+            S = (L - a * lim.denominator) * (n + 1)
+            self._tail = (L, L - S, D, D)
 
-    def _last_slope(self) -> Fraction:
-        if len(self.values) == 1:
-            return self.values[0]
-        return self.values[-1] - self.values[-2]
+    def _pair(self, j: int) -> tuple[int, int]:
+        """(p, q) with anchor(j) = p/q and q > 0, for j >= 0; not in lowest terms."""
+        if j < len(self._pairs):
+            return self._pairs[j]
+        u, v, x, y = self._tail
+        return u * j + v, x * j + y
 
     def anchor(self, j: int) -> Fraction:
         """Value at integer grid point j >= 0 (the t=0 anchor is the limit 0)."""
         if j < 0:
             raise NonPositiveTime(f"grid point must be >= 0, got {j}")
-        if j == 0:
-            return Fraction(0)
-        n = len(self.values)
-        if j <= n:
-            return self.values[j - 1]
-        if self.limit is None:
-            return self.values[-1] + self._last_slope() * (j - n)
-        assert self._scale is not None
-        return self.limit - Fraction(self._scale, j + 1)
+        return Fraction(*self._pair(j))
 
     def eval(self, t: Timelike) -> ExactNumber:
         x = _fraction(t, "evaluation point")
@@ -186,16 +191,12 @@ class PiecewiseMap(MonotoneMap):
             raise OutsideImage(f"{w} is outside the image: not positive")
         if self.limit is not None and w >= self.limit:
             raise OutsideImage(f"{w} is outside the open image (0, {self.limit})")
-        n = len(self.values)
         if w > self.values[-1]:
-            if self.limit is None:
-                t = n + (w - self.values[-1]) / self._last_slope()
-                return ExactNumber.from_fraction(t)
-            assert self._scale is not None
-            # Smallest grid point j with anchor(j) >= w, then invert the
-            # linear run into it: limit - scale/(j+1) >= w iff
-            # j >= scale/(limit - w) - 1, so j > n since anchor(n) < w.
-            j = math.ceil(self._scale / (self.limit - w) - 1)
+            # The smallest grid point j with anchor(j) >= w, then the linear
+            # run into it: (u*j + v)/(x*j + y) >= w iff j*(u - w*x) >= w*y - v,
+            # and u - w*x > 0 below the limit u/x; j > n since anchor(n) < w.
+            u, v, x, y = self._tail
+            j = math.ceil((w * y - v) / (u - w * x))
         else:
             j = bisect_left(self.values, w) + 1
         lo = self.anchor(j - 1)
@@ -204,25 +205,26 @@ class PiecewiseMap(MonotoneMap):
         return ExactNumber.from_fraction(t)
 
     def level_times(self, shift: int, until: Optional[Timelike] = None) -> LevelTimes:
-        # On the piece [j-1, j], phi(t) + shift*t runs linearly from lo to hi
-        # and passes each integer k in (lo, hi] once.
+        # On the piece [j-1, j], phi(t) + shift*t runs linearly from lo = ln/ld
+        # to hi = hn/hd, width w/(ld*hd), and passes each integer k in (lo, hi]
+        # once, at t = (j-1) + (k - lo)*ld*hd/w = ((j-1)*w + (k*ld - ln)*hd)/w.
         end = None if until is None else ExactNumber.coerce(until)
         last = math.inf if end is None else end.floor() + 1  # the piece holding `until`
-        lo = Fraction(0)
+        # The crossings of a bounded image end at its limit u/x; x = 0 for an unbounded one.
+        u, _, x, _ = self._tail
+        ln, ld = 0, 1
         for j in count(1):
-            first = math.floor(lo) + 1
-            if j > last or shift == 0 and self.limit is not None and first >= self.limit:
+            first = ln // ld + 1
+            if j > last or shift == 0 and first * x >= u:
                 return
-            hi = self.anchor(j) + shift * j
-            width = hi - lo
-            top = math.floor(hi) if j < last else (lo + (end - (j - 1)) * width).floor()
-            # t = (j-1) + (k - lo)/width = ((j-1)*w + (k*ld - ln)*wd)/w with
-            # lo = ln/ld, width = wn/wd and w = ld*wn > 0.
-            ln, ld, wd = lo.numerator, lo.denominator, width.denominator
-            w = ld * width.numerator
+            hn, hd = self._pair(j)
+            hn += shift * j * hd
+            w = hn * ld - ln * hd
+            # On the last piece, floor(lo + (end - (j-1))*w/(ld*hd)).
+            top = hn // hd if j < last else (ln * hd - (j - 1) * w + end.floor(w)) // (ld * hd)
             for k in range(first, top + 1):
-                yield k, ExactNumber._new((j - 1) * w + (k * ld - ln) * wd, 0, 0, w)
-            lo = hi
+                yield k, ExactNumber._new((j - 1) * w + (k * ld - ln) * hd, 0, 0, w)
+            ln, ld = hn, hd
 
     def __repr__(self) -> str:
         tail = f", saturation_limit={self.limit!r}" if self.limit is not None else ""
@@ -275,8 +277,9 @@ def corollary_sets(phi: MonotoneMap, K: int) -> tuple[IntSet, IntSet]:
         s_y = (lam + 1).multiple_floors(K)
         s_x = (lam.reciprocal() + 1).multiple_floors(K)
     else:
-        # phi(n) is the anchor at n, and floor(t + n) = floor(t) + n.
-        s_y = list(takewhile(K.__ge__, (math.floor(phi.anchor(n)) + n for n in count(1))))
+        # phi(n) is the anchor p/q at n, and floor(t + n) = floor(t) + n.
+        floors = starmap(floordiv, map(phi._pair, count(1)))
+        s_y = list(takewhile(K.__ge__, map(add, floors, count(1))))
         s_x = list(takewhile(K.__ge__, (t.floor() + n for n, t in phi.level_times(0, K))))
     return IntSet(tuple(s_y), K), IntSet(tuple(s_x), K)
 

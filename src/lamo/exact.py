@@ -52,16 +52,6 @@ from .errors import IncompatibleRadicands, ParseError, ZeroDenominator
 
 Coercible = Union[int, Fraction, "ExactNumber"]
 
-def checked_isqrt(v: int) -> int:
-    """floor(sqrt(v)) for v >= 0, with the defining postcondition re-verified."""
-    if v < 0:
-        raise ValueError("isqrt of negative integer")
-    s = math.isqrt(v)
-    if not (s * s <= v < (s + 1) * (s + 1)):  # pragma: no cover
-        raise AssertionError(f"isqrt postcondition violated for {v}")
-    return s
-
-
 def _sign(n: int) -> int:
     return (n > 0) - (n < 0)
 
@@ -111,7 +101,7 @@ class ExactNumber:
         elif d == 0:
             b = 0
         else:
-            r = checked_isqrt(d)
+            r = math.isqrt(d)
             if r * r == d:
                 a, b, d = a + b * r, 0, 0
         g = math.gcd(math.gcd(abs(a), abs(b)), c)
@@ -255,7 +245,7 @@ class ExactNumber:
         d1, d2 = self._d, other._d
         if self._b == 0 or other._b == 0 or d1 == d2:
             return self, other, d1 or d2
-        s = checked_isqrt(d1 * d2)
+        s = math.isqrt(d1 * d2)
         if s * s != d1 * d2:
             raise IncompatibleRadicands(f"cannot combine sqrt({d1}) with sqrt({d2})")
         # sqrt(d2) = s*sqrt(d1)/d1: rescale the larger radicand onto the smaller.

@@ -10,13 +10,19 @@ for shift 0 and 1, which `MonotoneMap.level_times` yields in closed form
 piecewise map).
 
 The log is built in C-level passes.  Each time t is keyed
-(floor(t*2^32), t, kind), with the integer prefix from the kernel's floor
+(floor(t*2^16), t, kind), with the integer prefix from the kernel's floor
 rule; one `list.sort` merges the three ascending runs; neighbouring items
-with equal (prefix, t) mark a time shared by streams; the counts are the
-running sums of the meeting flags; and each time becomes one `Event`,
-stamped with the number of meetings up to it, a meeting counting itself.
-The prefix is monotone in t, so the keys order exactly as the times do,
-and only times within 2^-32 of each other reach the exact comparison.
+with equal prefixes, and only those, have their times compared exactly,
+and equal times mark a time shared by streams; the counts are the running
+sums of the meeting flags; and each time becomes one `Event`, stamped with
+the number of meetings up to it, a meeting counting itself.  The prefix is
+monotone in t, so the keys order exactly as the times do, and only times
+within 2^-16 of each other reach the exact comparison.  At 2^16 the
+`isqrt` inside the floor of a time with small fields takes an argument
+below 2^64, the one-word case of `math.isqrt`; at 2^32 it went past.  The
+prefixes are taken one floor per time, not by the shift pass of
+`ExactNumber.multiple_floors`: that pass yields the map route's Beatty
+sets, which the simulator is there to check.
 
 A time shared by streams is a meeting exactly at the origin, recorded as
 a single collision event that voids any partition claim for the log.  Any
@@ -45,8 +51,9 @@ X_CROSSING = "x_crosses_origin"
 MEETING = "meeting"
 COLLISION = "collision"
 
-# Times are merged on floor(t * 2^32) first; see the module docstring.
-_SCALE = 2**32
+# Times are merged on floor(t * 2^16) first, and their exact values compared
+# only where those prefixes tie; see the module docstring.
+_SCALE = 2**16
 
 
 class Event(NamedTuple):
@@ -81,9 +88,11 @@ def simulate(phi: MonotoneMap, T: Timelike) -> EventLog:
         *_keyed(phi.level_times(1, horizon), MEETING),
     ]
     items.sort()
-    # shared[i]: items i and i+1 are at one time.
-    keys = map(itemgetter(0, 1), items)
-    shared = list(map(eq, keys, map(itemgetter(0, 1), islice(items, 1, None))))
+    # shared[i]: items i and i+1 are at one time; only equal prefixes can be.
+    keys = list(map(itemgetter(0), items))
+    shared = list(map(eq, keys, islice(keys, 1, None)))
+    for i in compress(count(), shared):
+        shared[i] = items[i][1] == items[i + 1][1]
     kinds = list(map(itemgetter(2), items))
     counts = list(accumulate(map(eq, kinds, repeat(MEETING)), initial=0))
     for i in compress(count(1), shared):

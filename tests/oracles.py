@@ -39,7 +39,11 @@ operations checked it before `NumberSequence` did, and
 `scan_complementary` the complementarity check's former loop over the
 integers of the window.  `isqrt_multiple_floors` is the former rule for the
 floors of n*x, one isqrt per term, which the shift pass of
-`multiple_floors` is checked against.
+`multiple_floors` is checked against.  `fraction_level_times` is the
+piecewise maps' former crossing walk, `Fraction` arithmetic per piece over
+the grid values of `fraction_anchor`, the three-case anchor rule read off
+the map's stored `values` and `limit`; the integer walk of
+`PiecewiseMap.level_times` is checked against it.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from itertools import count, groupby, takewhile
 from operator import itemgetter
 
@@ -171,6 +176,59 @@ def isqrt_multiple_floors(a: int, b: int, d: int, c: int, K: int) -> list[int]:
     else:
         terms = ((a * n - math.isqrt(bbd * n * n) - 1) // c for n in count(1))
     return list(takewhile(K.__ge__, terms))
+
+
+def fraction_anchor(phi, j: int) -> Fraction:
+    """The value at the grid point j >= 0 of a piecewise map, from its stored
+    `values` v_1..v_n and `limit`: 0 at j = 0, v_j through n, then the last
+    slope extended, or limit - s/(j+1) with s = (limit - v_n)*(n+1)."""
+    vals, n = phi.values, len(phi.values)
+    if j <= n:
+        return vals[j - 1] if j else Fraction(0)
+    if phi.limit is None:
+        return vals[-1] + (vals[-1] - (vals[-2] if n > 1 else 0)) * (j - n)
+    return phi.limit - (phi.limit - vals[-1]) * (n + 1) / (j + 1)
+
+
+def _fields(x) -> tuple[int, int, int, int]:
+    """(a, b, d, c) of an exact value (a + b*sqrt(d))/c: an ExactNumber's
+    fields, or an int's or a Fraction's with b = d = 0."""
+    if hasattr(x, "d"):
+        return x.a, x.b, x.d, x.c
+    q = Fraction(x)
+    return q.numerator, 0, 0, q.denominator
+
+
+def fraction_level_times(phi, shift: int, until=None):
+    """(k, t_k) for k = 1, 2, .. with phi(t_k) + shift*t_k = k and t_k <= until,
+    for a piecewise map, each t_k a Fraction; endless for until None, except
+    that the crossings (shift 0) of a bounded image end at its limit.
+
+    On the piece [j-1, j], phi(t) + shift*t runs linearly from lo to hi and
+    passes each integer k in (lo, hi] once, at (j-1) + (k - lo)/(hi - lo).
+    The piece that holds `until` = (a + b*sqrt(d))/c, rational or not, is cut
+    at floor(lo + (until - (j-1))*(hi - lo)), taken by `bisect_floor`.
+    """
+    a, b, d, c = (0, 0, 0, 1) if until is None else _fields(until)
+    last = math.inf if until is None else bisect_floor(a, b, d, c) + 1
+    lo = Fraction(0)
+    for j in count(1):
+        first = math.floor(lo) + 1
+        if j > last or shift == 0 and phi.limit is not None and first >= phi.limit:
+            return
+        hi = fraction_anchor(phi, j) + shift * j
+        width = hi - lo
+        if j < last:
+            top = math.floor(hi)
+        else:
+            # lo + (until - (j-1))*width = rational + irrational*sqrt(d)
+            rational = lo + (Fraction(a, c) - (j - 1)) * width
+            irrational = width * Fraction(b, c)
+            den = math.lcm(rational.denominator, irrational.denominator)
+            top = bisect_floor(int(rational * den), int(irrational * den), d, den)
+        for k in range(first, top + 1):
+            yield k, (j - 1) + (k - lo) / width
+        lo = hi
 
 
 def _sign_with_root(p: int, q: int, d: int) -> int:

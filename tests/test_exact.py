@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from lamo.errors import IncompatibleRadicands, ParseError, ZeroDenominator
-from lamo.exact import ExactNumber, checked_isqrt
+from lamo.exact import ExactNumber
 
 from oracles import bisect_floor, decimal_floor, isqrt_multiple_floors, subtract_compare
 
@@ -193,7 +193,7 @@ class TestCompareOracle:
 
     @given(st.integers(2, 10**6), st.integers(2, 10**6), small_int, small_int)
     def test_incompatible_radicands(self, d1, d2, b1, b2):
-        s = checked_isqrt(d1 * d2)
+        s = math.isqrt(d1 * d2)
         x, y = ExactNumber(0, b1 or 1, d1), ExactNumber(0, b2 or 1, d2)
         if s * s == d1 * d2 or x.is_rational or y.is_rational:
             return
@@ -285,7 +285,7 @@ class TestInternalConstructor:
     @given(coeffs, st.integers(0, 10**6))
     def test_matches_public_constructor(self, abc, d):
         a, b, c = abc
-        r = checked_isqrt(d)
+        r = math.isqrt(d)
         if r * r == d:
             d = r * r + 1 if r else 2  # the internal constructor takes no square radicand
         x, y = ExactNumber._new(a, b, d, c), ExactNumber(a, b, d, c)
@@ -315,13 +315,6 @@ class TestPredicates:
         assert ExactNumber(6, 0, 0, 3).is_integer()
         assert not SQRT2.is_integer()
         assert not ExactNumber(4, 0, 0, 3).is_integer()
-
-    def test_checked_isqrt(self):
-        assert checked_isqrt(0) == 0
-        assert checked_isqrt(15) == 3
-        assert checked_isqrt(16) == 4
-        with pytest.raises(ValueError):
-            checked_isqrt(-1)
 
     def test_bool_and_abs(self):
         assert not ExactNumber(0)

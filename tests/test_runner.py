@@ -19,7 +19,7 @@ from lamo import (
     recorded_sets,
     simulate,
 )
-from lamo import continuous
+from lamo import continuous, runner
 from lamo.continuous import PiecewiseMap
 from lamo.errors import NonPositiveTime, OutsideImage
 from lamo.exact import ExactNumber
@@ -28,6 +28,7 @@ from lamo.runner import COLLISION, MEETING, X_CROSSING, Y_CROSSING
 from gen import random_rational_map, random_sequence
 from oracles import (
     bisect_meeting_time,
+    fraction_level_times,
     grouped_merge_events,
     meeting_count,
     merge_events,
@@ -79,6 +80,12 @@ def quadratic_slopes(draw):
 
 
 horizons = st.fractions(min_value=Fraction(1, 3), max_value=25, max_denominator=7)
+# (a + sqrt(d))/c, irrational for a non-square d.
+irrational_horizons = st.builds(
+    lambda a, d, c: ExactNumber(a, 1, d, c),
+    st.integers(0, 20), st.integers(2, 300), st.integers(1, 3),
+).filter(lambda x: not x.is_rational)
+rational_maps = map_seeds.map(lambda s: random_rational_map(random.Random(s)))
 
 
 class TestMeetingTime:
@@ -113,8 +120,8 @@ class TestLevelTimes:
         assert list(phi.level_times(1, T)) == oracle_meetings(phi, T)
         assert list(phi.level_times(0, T)) == oracle_crossings(phi, T)
 
-    @given(st.one_of(map_seeds.map(lambda s: random_rational_map(random.Random(s))),
-                     quadratic_slopes().map(LinearMap)), horizons, st.sampled_from((0, 1)))
+    @given(st.one_of(rational_maps, quadratic_slopes().map(LinearMap)), horizons,
+           st.sampled_from((0, 1)))
     @settings(max_examples=120, deadline=None)
     def test_unbounded_walk_extends_bounded(self, phi, T, shift):
         bounded = list(phi.level_times(shift, T))
@@ -122,6 +129,19 @@ class TestLevelTimes:
         assert list(itertools.islice(walk, len(bounded))) == bounded
         # Only the crossings of a bounded image end; what follows lies past T.
         assert all(t > T for _, t in itertools.islice(walk, 1))
+
+    @given(rational_maps, st.sampled_from((0, 1)),
+           st.one_of(st.integers(1, 30), horizons, irrational_horizons))
+    @example(SAT3, 0, ExactNumber.sqrt(50))
+    @example(SAT3, 1, ExactNumber.sqrt(50))
+    @example(PiecewiseMap([1], saturation_limit=1000), 0, 2100)
+    @example(PiecewiseMap([1], saturation_limit=1000), 1, 2100)
+    @settings(max_examples=150, deadline=None)
+    def test_integer_walk_equals_fraction_walk(self, phi, shift, T):
+        assert list(phi.level_times(shift, T)) == list(fraction_level_times(phi, shift, T))
+        # A prefix of the unbounded walk; the crossings of a bounded image end in it.
+        walk, unbounded = phi.level_times(shift), fraction_level_times(phi, shift)
+        assert list(itertools.islice(walk, 60)) == list(itertools.islice(unbounded, 60))
 
     def test_unbounded_crossings_end_below_a_fractional_limit(self):
         phi = PiecewiseMap([Fraction(1, 2)], saturation_limit=Fraction(5, 2))
@@ -308,22 +328,27 @@ class TestMergeOracle:
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_near_ties_at_one_and_two(self, delta):
-        # slope sqrt(10^20 + delta)/10^10 = 1 + O(10^-20): the X crossing at
-        # 1/slope and the meetings 2/(1+slope), 4/(1+slope) lie within 2^-32
-        # of the Y crossings at t = 1 and t = 2 without meeting them.
-        phi = LinearMap(ExactNumber(0, 1, 10**20 + delta, 10**10))
-        T = ExactNumber(3)
-        events = logged(phi, T)
-        assert events == merge_events(phi, T)
-        assert COLLISION not in {kind for _, kind, _ in events}
-        for n in (1, 2):
-            near = [(t, kind) for t, kind, _ in events if abs(t - n) < Fraction(1, 2**32)]
-            assert sorted(kind for _, kind in near) == [MEETING, X_CROSSING, Y_CROSSING]
-            # Below the slope 1 all three share the prefix floor(t*2^32) = n*2^32.
-            assert len({t.floor(2**32) for t, _ in near}) == (1 if delta < 0 else 2)
-        s_x, s_y = recorded_sets(simulate(phi, T))
-        alg_y, alg_x = corollary_sets(phi, s_x.horizon)
-        assert (s_x, s_y) == (alg_x, alg_y)
+        # slope sqrt(10^(2e) + delta)/10^e = 1 + O(10^-2e): the X crossing at
+        # 1/slope and the meetings 2/(1+slope), 4/(1+slope) lie within
+        # 1/_SCALE of the Y crossings at t = 1 and t = 2 without meeting them.
+        # For e = 10 they are about 10^-20 away; for e = 4 about 10^-8, more
+        # than 2^-32 but less than the 2^-16 of the keys.
+        scale = runner._SCALE
+        for e in (10, 4):
+            phi = LinearMap(ExactNumber(0, 1, 10 ** (2 * e) + delta, 10**e))
+            T = ExactNumber(3)
+            events = logged(phi, T)
+            assert events == merge_events(phi, T)
+            assert COLLISION not in {kind for _, kind, _ in events}
+            for n in (1, 2):
+                near = [(t, kind) for t, kind, _ in events if abs(t - n) < Fraction(1, scale)]
+                assert sorted(kind for _, kind in near) == [MEETING, X_CROSSING, Y_CROSSING]
+                # Below the slope 1 all three share the prefix floor(t*scale) = n*scale,
+                # so the exact comparison orders them.
+                assert len({t.floor(scale) for t, _ in near}) == (1 if delta < 0 else 2)
+            s_x, s_y = recorded_sets(simulate(phi, T))
+            alg_y, alg_x = corollary_sets(phi, s_x.horizon)
+            assert (s_x, s_y) == (alg_x, alg_y)
 
 
 @st.composite
@@ -332,7 +357,7 @@ def simulated_cases(draw):
     irrational one (a + sqrt(d))/c over the map's own radicand."""
     phi = draw(st.one_of(
         st.one_of(quadratic_slopes(), rational_slopes).map(LinearMap),
-        map_seeds.map(lambda s: random_rational_map(random.Random(s))),
+        rational_maps,
     ))
     d = getattr(phi, "slope", ExactNumber(0)).d or draw(st.integers(2, 300))
     irrational = st.builds(
@@ -342,11 +367,18 @@ def simulated_cases(draw):
 
 
 class TestGroupedMergeOracle:
-    """The sorted passes against the keyed heapq.merge and groupby they replaced."""
+    """The sorted passes against the keyed heapq.merge and groupby they replaced.
+
+    `merged_groups` keys on floor(t*2^32) and `simulate` on floor(t*2^16), so
+    the near-ties of the slopes sqrt(10^8 +- 1)/10^4 share a key only in the
+    latter: the examples compare the two scales.
+    """
 
     @given(simulated_cases())
     @example((LinearMap(Fraction(3, 2)), ExactNumber(6)))
     @example((LinearMap(ExactNumber(0, 1, 10**20 - 1, 10**10)), ExactNumber(3)))
+    @example((LinearMap(ExactNumber(0, 1, 10**8 - 1, 10**4)), ExactNumber(3)))
+    @example((LinearMap(ExactNumber(0, 1, 10**8 + 1, 10**4)), ExactNumber(3)))
     @settings(max_examples=150, deadline=None)
     def test_simulate_equals_grouped_merge(self, case):
         phi, T = case
