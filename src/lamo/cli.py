@@ -38,7 +38,7 @@ _ERROR_EXITS = {
 
 # What a subcommand reports, in the one format asked for: a JSON object, a
 # CSV (header, rows) pair, or the finished text.
-Report = Union[dict[str, Any], tuple[list[str], Iterable[list[Any]]], str]
+Report = Union[dict[str, Any], tuple[list[str], Iterable[Iterable[Any]]], str]
 
 
 def _read_input(path: str) -> str:
@@ -70,8 +70,7 @@ def _sequence_report(s: NumberSequence, fmt: str, horizon: Any, note_horizon: bo
     if fmt == "json":
         return {**formats.sequence_to_json(s), "exact_through": exact_through}
     if fmt == "csv":
-        rows = ([n, "inf" if v is INF else v] for n, v in enumerate(s.prefix, start=1))
-        return ["n", "value"], rows
+        return ["n", "value"], enumerate(formats.sequence_to_json(s)["terms"], start=1)
     text = formats.render_sequence_text(s)
     return f"# exact through: {exact_through}\n{text}" if note_horizon else text
 
@@ -187,10 +186,11 @@ def _cmd_simulate(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
     text = args.map if args.map.lstrip().startswith("{") else _read_input(args.map)
     phi = formats.parse_map(text)
     log = runner.simulate(phi, ExactNumber.parse(args.T))
-    if collisions := log.collisions():
+    try:
+        s_x, s_y = runner.recorded_sets(log)
+    except CollisionPresent:
         code = EXIT_COLLISION
     else:
-        s_x, s_y = runner.recorded_sets(log)
         h = s_x.horizon
         alg_y, alg_x = continuous.corollary_sets(phi, h) if h >= 1 else (IntSet((), 0),) * 2
         agree = s_x == alg_x and s_y == alg_y
@@ -198,8 +198,8 @@ def _cmd_simulate(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
     if fmt == "csv":
         rows = ([e.time.literal(), e.kind, e.count] for e in log.events)
         return (["t", "kind", "count"], rows), code
-    if collisions:
-        t = collisions[0].time
+    if code == EXIT_COLLISION:
+        t = log.collisions()[0].time
         summary = {"collision_at": t.literal()} if fmt == "json" else f"collision at t={t}\n"
     elif fmt == "json":
         summary = {

@@ -10,17 +10,18 @@ when absent).  A `#` line is the directive only when its first word is
 comment, and blank lines are ignored.  Every integer, on a data line or
 a directive, is ASCII digits after an optional `-`.  The JSON forms mirror
 the same data; numbers that must stay exact travel as literal strings like
-`(-1+1*sqrt(5))/2`, never as floats.  The decoders only convert: the rules
-on terms, tails and elements belong to `NumberSequence`, `Tail` and
-`IntSet`, and a value they reject is reported with its line (text) or its
-term or element index (JSON).
+`(-1+1*sqrt(5))/2`, never as floats.  Text is written by one `%` format, not
+one `str()` per term: exact, as terms are `int`s in tuples, `inf` only a
+suffix.  The decoders only convert: the rules on terms, tails and elements
+belong to `NumberSequence`, `Tail` and `IntSet`, and a value they reject is
+reported with its line (text) or its term or element index (JSON).
 """
 
 from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import countOf
 from typing import Any, Callable, Optional, Union
@@ -72,15 +73,20 @@ def _scan(
     when it has none).
 
     `line(i)` is the line of value i, and `line(len(values))` that of the
-    directive; only blank and comment lines are recorded.  The lines before
-    the first `#` that starts a line are converted in one pass, as one JSON
-    array, when they hold only digits, `-`, spaces, tabs and line ends:
-    JSON spells an integer as `integer` does, less leading zeros, and fails
-    on every line where the two would differ.  A carriage return that does
-    not end a line, or a head that is one blank line, would add a line that
-    JSON does not see; those texts, and any JSON failure, go line by line.
+    directive; only blank and comment lines are recorded.  The data lines
+    after the leading comment lines (up to the directive, or a line end other
+    than LF or CRLF) and before the next `#` line are converted as one JSON
+    array, if only digits, `-`, spaces, tabs and line ends: JSON spells an
+    integer as `integer` does, less leading zeros, and fails wherever they
+    differ.  A lone carriage return or a head of one blank line would add a
+    line JSON does not see: those texts and JSON failures go line by line.
     """
-    head = text[: text.find("\n#") + 1 or len(text)]
+    skip = 0  # the end of the leading comment lines
+    while text.startswith("#", skip) and (end := text.find("\n", skip) + 1):
+        if text[skip:end].split()[0] == directive or len(text[skip:end].splitlines()) > 1:
+            break
+        skip = end
+    head = text[skip : text.find("\n#", skip) + 1 or len(text)]
     try:
         if not _PLAIN_HEAD(head) or "\r" in head and head.count("\r") != head.count("\r\n"):
             raise ValueError
@@ -88,12 +94,12 @@ def _scan(
         if not values:
             raise ValueError
     except ValueError:  # also past the interpreter's digit limit
-        head, values = "", []  # the whole text goes line by line
+        skip, head, values = 0, "", []  # the whole text goes line by line
     first = len(values)
     tokens: list[str] = []
-    skipped: list[int] = []  # how many data lines precede each blank or comment line
+    skipped = [0] * text.count("\n", 0, skip)  # data lines before each blank or comment line
     args: Optional[list[str]] = None
-    for lineno, raw in enumerate(text[len(head) :].splitlines(), start=first + 1):
+    for lineno, raw in enumerate(text[skip + len(head) :].splitlines(), start=len(skipped) + first + 1):
         line = raw.strip()
         if line and line[0] != "#":
             if args is not None:
@@ -177,13 +183,13 @@ def parse_sequence_text(text: str) -> NumberSequence:
 
 
 def render_sequence_text(s: NumberSequence) -> str:
-    lines = ["inf" if v is INF else str(v) for v in s.prefix]
-    lines.append(f"#tail {s.tail}")
-    return "\n".join(lines) + "\n"
+    n = bisect_left(s.prefix, INF)  # the ints, then a run of INF
+    return "%d\n" * n % s.prefix[:n] + "inf\n" * (len(s) - n) + f"#tail {s.tail}\n"
 
 
 def sequence_to_json(s: NumberSequence) -> dict[str, Any]:
-    terms: list[Any] = ["inf" if v is INF else v for v in s.prefix]
+    n = bisect_left(s.prefix, INF)
+    terms: list[Any] = [*s.prefix[:n], *["inf"] * (len(s) - n)]
     tail: dict[str, Any] = {"kind": s.tail.kind}
     if s.tail.kind == "constant":
         tail["value"] = s.tail.value
@@ -250,9 +256,7 @@ def parse_intset_text(text: str) -> IntSet:
 
 
 def render_intset_text(s: IntSet) -> str:
-    lines = [str(e) for e in s.elements]
-    lines.append(f"#horizon {s.horizon}")
-    return "\n".join(lines) + "\n"
+    return "%d\n" * len(s.elements) % s.elements + f"#horizon {s.horizon}\n"
 
 
 def intset_to_json(s: IntSet) -> dict[str, Any]:

@@ -37,6 +37,7 @@ derived from one another.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import eq, itemgetter, not_
 from typing import Iterable, NamedTuple
@@ -110,10 +111,12 @@ def recorded_sets(log: EventLog) -> tuple[IntSet, IntSet]:
     falls between meeting c and meeting c+1, so the horizon is the largest
     count any crossing in the log recorded.
     """
-    bad = log.collisions()
-    if bad:
-        raise CollisionPresent(f"meeting at the origin at t={bad[0].time}; recorded sets are void")
-    xs = [e.count for e in log.events if e.kind == X_CROSSING and e.count >= 1]
-    ys = [e.count for e in log.events if e.kind == Y_CROSSING and e.count >= 1]
-    horizon = max((e.count for e in log.events if e.kind in (X_CROSSING, Y_CROSSING)), default=0)
-    return IntSet(tuple(xs), horizon), IntSet(tuple(ys), horizon)
+    kinds = list(map(itemgetter(1), log.events))
+    if COLLISION in kinds:
+        raise CollisionPresent(f"meeting at the origin at t={log.collisions()[0].time}; recorded sets are void")
+    counts = list(map(itemgetter(2), log.events))
+    i = bisect_left(counts, 1)  # counts never fall, so those below 1 are a prefix
+    xs = tuple(compress(counts[i:], map(eq, kinds[i:], repeat(X_CROSSING))))
+    ys = tuple(compress(counts[i:], map(eq, kinds[i:], repeat(Y_CROSSING))))
+    horizon = max(xs[-1:] + ys[-1:], default=0)
+    return IntSet(xs, horizon), IntSet(ys, horizon)

@@ -259,8 +259,7 @@ class IntSet(_Record):
         object.__setattr__(self, "horizon", horizon)
 
     def __str__(self) -> str:
-        inner = ", ".join([str(e) for e in self.elements])
-        return f"{{{inner}}} horizon {self.horizon}"
+        return f"{{{(', %d' * len(self.elements) % self.elements)[2:]}}} horizon {self.horizon}"
 
 
 class Verdict(NamedTuple):

@@ -1,9 +1,9 @@
 """Independent numeric oracles used to cross-check the exact kernel.
 
 Everything here deliberately shares no algorithm with the package under
-test, and imports from it only two error classes: `OutsideImage`, which
-marks a point outside a map's image, and `ParseError`.  Still,
-`bisect_meeting_time`, `meeting_count`, `scan_lattice_avoidance`,
+test, and imports from it only three error classes: `OutsideImage`, which
+marks a point outside a map's image, `ParseError` and `CollisionPresent`.
+Still, `bisect_meeting_time`, `meeting_count`, `scan_lattice_avoidance`,
 `generic_corollary_sets`, `pointwise_induced_inverse`, `merge_events` and
 `merged_groups` take a map and call its own `eval`, `inverse_eval` or
 `level_times`, and work with the `ExactNumber` values it returns.  The
@@ -44,6 +44,12 @@ piecewise maps' former crossing walk, `Fraction` arithmetic per piece over
 the grid values of `fraction_anchor`, the three-case anchor rule read off
 the map's stored `values` and `limit`; the integer walk of
 `PiecewiseMap.level_times` is checked against it.
+
+`per_term_sequence_text`, `per_term_intset_text`, `per_term_intset_str` and
+`per_term_sequence_json` are the writers that gave each term its own `str()`
+or `is inf` test, which the one-pass `%` writers are checked against.
+`four_pass_recorded_sets` is the recorded sets as one Python pass over the
+events for the collisions, one for each set and one for the horizon.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from fractions import Fraction
 from itertools import count, groupby, takewhile
 from operator import itemgetter
 
-from lamo.errors import OutsideImage, ParseError
+from lamo.errors import CollisionPresent, OutsideImage, ParseError
 
 DIGITS = 100
 
@@ -398,6 +404,48 @@ def grouped_merge_events(phi, T) -> list[tuple]:
 def event_to_json(time, kind: str, count: int) -> dict:
     """The JSON object of one event, for `json.dumps`."""
     return {"t": time.literal(), "kind": kind, "count": count}
+
+
+def per_term_sequence_text(s) -> str:
+    """A sequence's text form, one `str()` or `inf` per term, then its tail line."""
+    lines = ["inf" if v is math.inf else str(v) for v in s.prefix]
+    lines.append(f"#tail {s.tail}")
+    return "\n".join(lines) + "\n"
+
+
+def per_term_intset_text(s) -> str:
+    """A set's text form, one `str()` per element, then its horizon line."""
+    lines = [str(e) for e in s.elements]
+    lines.append(f"#horizon {s.horizon}")
+    return "\n".join(lines) + "\n"
+
+
+def per_term_intset_str(s) -> str:
+    """A set as `{e1, e2, ...} horizon K`, one `str()` per element."""
+    inner = ", ".join([str(e) for e in s.elements])
+    return f"{{{inner}}} horizon {s.horizon}"
+
+
+def per_term_sequence_json(s) -> dict:
+    """A sequence's JSON object, with an `is inf` test per term."""
+    tail = {"kind": s.tail.kind}
+    if s.tail.kind == "constant":
+        tail["value"] = s.tail.value
+    return {"terms": ["inf" if v is math.inf else v for v in s.prefix], "tail": tail}
+
+
+def four_pass_recorded_sets(log) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(S_X elements, S_Y elements, horizon) of a collision-free log, in four
+    Python passes over its events; CollisionPresent, naming the first
+    collision's time, for any other log."""
+    bad = [e for e in log.events if e.kind == "collision"]
+    if bad:
+        raise CollisionPresent(f"meeting at the origin at t={bad[0].time}; recorded sets are void")
+    xs = [e.count for e in log.events if e.kind == "x_crosses_origin" and e.count >= 1]
+    ys = [e.count for e in log.events if e.kind == "y_crosses_origin" and e.count >= 1]
+    crossings = ("x_crosses_origin", "y_crosses_origin")
+    horizon = max((e.count for e in log.events if e.kind in crossings), default=0)
+    return tuple(xs), tuple(ys), horizon
 
 
 def scan_parse_text(text: str, directive: str, inf: bool = False):

@@ -30,7 +30,14 @@ from lamo.formats import (
 )
 from lamo.runner import COLLISION, MEETING, X_CROSSING, Y_CROSSING, Event, EventLog
 
-from oracles import event_to_json, scan_parse_text
+from oracles import (
+    event_to_json,
+    per_term_intset_str,
+    per_term_intset_text,
+    per_term_sequence_json,
+    per_term_sequence_text,
+    scan_parse_text,
+)
 
 
 class TestSequenceText:
@@ -287,10 +294,11 @@ _LINES = st.one_of(_TERMS, _PADDED, _ODD, _COMMENTS, _BLANKS, _DIRECTIVES)
 
 @st.composite
 def text_files(draw):
-    """A text file: comments, then increasing terms among which up to two
-    other lines, then a `#` line or not, then any lines, with `\n`, `\r\n`
-    or `\r` endings and a final one or not."""
-    before = draw(st.lists(st.one_of(_COMMENTS, _BLANKS), max_size=2))
+    """A text file: comments, blanks or directives, then increasing terms
+    among which up to two other lines, then a `#` line or not, then any
+    lines, with `\n`, `\r\n` or `\r` endings and a final one or not."""
+    before = draw(st.lists(st.one_of(_COMMENTS, _BLANKS, _DIRECTIVES, st.just("# a\x0c5")),
+                           max_size=3))
     steps = draw(st.lists(st.integers(1, 9), max_size=12))
     terms = [str(v) for v in accumulate(steps)]
     for i, line in draw(st.lists(st.tuples(st.integers(0, 12), st.one_of(_PADDED, _ODD, _BLANKS)),
@@ -343,6 +351,17 @@ class TestScanRoutes:
     @example("2\r\r\n1\n#horizon 1\n")
     @example("\n#tail constant -1\n")
     @example(" \r\n#horizon 1 2\n")
+    # A leading run of comment lines, ended by the directive or an odd line end.
+    @example("# exact through: 3\n1\n1\n2\n#tail unknown\n")
+    @example("# a\n# b\n# c\n1\n2\nx\n")
+    @example("# a\n# b\n5\n3\n#horizon 9\n")
+    @example("# a\n#tail unknown\n1\n")
+    @example("# a\n#horizon 5\n")
+    @example("# a\x0c5\n6\n")
+    @example("# a\r5\n6\n")
+    @example("# a\r\n1\r\n2\r\n")
+    @example("# a\n\n#tail constant 3\n")
+    @example("# a\n# b")
     def test_same_as_the_per_line_route(self, text):
         for parse in (parse_sequence_text, parse_intset_text):
             got = _parsed(parse, text)
@@ -356,14 +375,20 @@ class TestScanRoutes:
         ("1\r\n2\r\n#tail constant 5\r\n", [[], ["5"]]),
         ("1\n\n2\n#tail constant 5\n", [["1", "2"], ["5"]]),
         ("1\ninf\n#tail infinite\n", [["1", "inf"]]),
-        ("# note\n1\n2\n", [["1", "2"]]),
+        ("# note\n1\n2\n", [[]]),
         ("007\n8\n#tail constant 9\n", [["007", "8"], ["9"]]),
         ("1\r\n2\r\n# note\r\n3\r\n", [["3"]]),
         ("1\r \n2\n", [["1", "2"]]),
+        ("# exact through: 3\n1\n1\n2\n#tail unknown\n", [[]]),
+        ("# a\n#\n#tailored\n1\n2\n#tail constant 5\n", [[], ["5"]]),
+        ("# a\r\n1\r\n2\r\n", [[]]),
+        ("# a\x0c5\n6\n", [["5", "6"]]),
+        ("# a\n\n1\n", [["1"]]),
     ])
     def test_only_the_rest_goes_line_by_line(self, text, per_line):
-        # The data lines before the first `#` line, when JSON reads them as
-        # integers, never reach the per-line converter `_ints`.
+        # The data lines before the first `#` line, past the leading comment
+        # lines, when JSON reads them as integers, never reach the per-line
+        # converter `_ints`.
         seen = []
         real = lamo.formats._ints
 
@@ -374,6 +399,27 @@ class TestScanRoutes:
         with mock.patch.object(lamo.formats, "_ints", spy):
             parse_sequence_text(text)
         assert seen == per_line
+
+    @pytest.mark.parametrize("text, line", [
+        ("# a\n1\n2\nx\n#tail unknown\n", 4),
+        ("# a\n# b\n# c\n1\n2\n-\n", 6),
+        ("# a\n# b\n# c\n1\n2\n# d\nx\n", 7),
+        ("# a\n# b\n# c\n5\n3\n", 5),
+        ("# a\r\n# b\r\n1\r\n0\r\n", 4),
+    ])
+    def test_a_bad_term_after_leading_comments_names_its_line(self, text, line):
+        with pytest.raises(LamoError, match=f"^line {line}: "):
+            parse_sequence_text(text)
+
+    @pytest.mark.parametrize("text, error", [
+        ("#tail unknown\n1\n2\n", "line 2: '1' after the #tail directive"),
+        ("# a\n#tail constant 5\n1\n", "line 3: '1' after the #tail directive"),
+        ("#tail constant x\n# a\n", "line 1: expected an integer, got 'x'"),
+    ])
+    def test_a_leading_directive_ends_the_comment_run(self, text, error):
+        with pytest.raises(ParseError) as e:
+            parse_sequence_text(text)
+        assert str(e.value) == error
 
 
 class TestMapForms:
@@ -494,3 +540,55 @@ def test_json_object_is_json_dumps(evs, summary):
     log = EventLog(tuple(evs), ExactNumber(1))
     expected = {"events": [event_to_json(e.time, e.kind, e.count) for e in evs], **summary}
     assert events_to_json(log, summary) == json.dumps(expected)
+
+
+# Terms of every size, ints past 2^64 among them, then a run of inf or none.
+_BIG = st.one_of(st.integers(0, 9), st.integers(0, 2**70), st.integers(2**64, 2**200))
+
+
+@st.composite
+def number_sequences(draw):
+    ints = sorted(draw(st.lists(_BIG, max_size=40)))
+    infs = draw(st.sampled_from([0, 0, 1, 3]))
+    kind = draw(st.sampled_from(["unknown", "infinite"] + ["constant"] * (not infs)))
+    last = ints[-1] if ints else 0
+    value = draw(st.integers(last, last + 2**70)) if kind == "constant" else None
+    return NumberSequence(ints + [INF] * infs, Tail(kind, value))
+
+
+@st.composite
+def int_sets(draw):
+    elements = sorted(draw(st.sets(st.integers(1, 2**70), max_size=40)))
+    last = elements[-1] if elements else 0
+    return IntSet(elements, draw(st.integers(last, last + 2**70)))
+
+
+class TestOnePassWriters:
+    """The `%` writers against the per-term writers they replaced."""
+
+    @settings(max_examples=300)
+    @given(number_sequences())
+    @example(NumberSequence((), Tail.unknown()))
+    @example(NumberSequence((), Tail.infinite()))
+    @example(NumberSequence((), Tail.constant(0)))
+    @example(NumberSequence((INF,), Tail.infinite()))
+    @example(NumberSequence((INF, INF, INF), Tail.infinite()))
+    @example(NumberSequence((7,), Tail.unknown()))
+    @example(NumberSequence((7,), Tail.constant(7)))
+    @example(NumberSequence((0, 2**64, INF, INF), Tail.infinite()))
+    @example(NumberSequence(range(10**4), Tail.constant(10**4)))
+    def test_sequence_writers(self, s):
+        assert render_sequence_text(s) == per_term_sequence_text(s)
+        assert sequence_to_json(s) == per_term_sequence_json(s)
+        assert json.dumps(sequence_to_json(s)) == json.dumps(per_term_sequence_json(s))
+
+    @settings(max_examples=300)
+    @given(int_sets())
+    @example(IntSet((), 0))
+    @example(IntSet((), 5))
+    @example(IntSet((1,), 1))
+    @example(IntSet((2**64 + 1,), 2**65))
+    @example(IntSet(range(1, 10**4 + 1), 10**4))
+    def test_set_writers(self, s):
+        assert render_intset_text(s) == per_term_intset_text(s)
+        assert str(s) == per_term_intset_str(s)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -23,11 +24,12 @@ from lamo import continuous, runner
 from lamo.continuous import PiecewiseMap
 from lamo.errors import NonPositiveTime, OutsideImage
 from lamo.exact import ExactNumber
-from lamo.runner import COLLISION, MEETING, X_CROSSING, Y_CROSSING
+from lamo.runner import COLLISION, MEETING, X_CROSSING, Y_CROSSING, Event, EventLog
 
 from gen import random_rational_map, random_sequence
 from oracles import (
     bisect_meeting_time,
+    four_pass_recorded_sets,
     fraction_level_times,
     grouped_merge_events,
     meeting_count,
@@ -393,3 +395,58 @@ class TestGroupedMergeOracle:
         for _, kinds in merged_groups(phi, T):
             if len(kinds) > 1:
                 assert sorted(kinds) == [MEETING, X_CROSSING, Y_CROSSING]
+
+
+def read_sets(read, log):
+    """(S_X elements, S_Y elements, horizon) by `read`, or its collision message."""
+    try:
+        return read(log)
+    except CollisionPresent as e:
+        return str(e)
+
+
+def passes(log):
+    s_x, s_y = recorded_sets(log)
+    assert s_x.horizon == s_y.horizon
+    return s_x.elements, s_y.elements, s_x.horizon
+
+
+class TestRecordedSetsOracle:
+    """The C-level passes of `recorded_sets` against its four Python passes."""
+
+    @given(simulated_cases())
+    @example((LinearMap(Fraction(3, 2)), ExactNumber(6)))
+    @example((LinearMap(1), ExactNumber(2)))
+    @example((LinearMap(SQRT2), ExactNumber.from_fraction(Fraction(1, 3))))
+    @example((SAT3, ExactNumber(9)))
+    @settings(max_examples=150, deadline=None)
+    def test_same_as_four_passes(self, case):
+        log = simulate(*case)
+        assert read_sets(passes, log) == read_sets(four_pass_recorded_sets, log)
+
+    @given(map_seeds, exact_horizons)
+    @settings(max_examples=60, deadline=None)
+    def test_both_piecewise_tails(self, seed, T):
+        values = random_rational_map(random.Random(seed)).values
+        limit = math.floor(values[-1]) + 1
+        for phi in (PiecewiseMap(values), PiecewiseMap(values, saturation_limit=limit)):
+            log = simulate(phi, T)
+            assert read_sets(passes, log) == read_sets(four_pass_recorded_sets, log)
+
+    @given(st.lists(st.sampled_from([X_CROSSING, Y_CROSSING, COLLISION, None]), max_size=12))
+    @example([X_CROSSING, Y_CROSSING])
+    @example([COLLISION, Y_CROSSING])
+    def test_any_log(self, crossings):
+        # Logs that `simulate` does not make: a crossing before the first
+        # meeting, at count 0, and collisions anywhere.  Between meetings c
+        # and c + 1 lies at most one crossing, which records c.
+        rows = []
+        for c, kind in enumerate(crossings):
+            rows += [(kind, c)] * (kind is not None) + [(MEETING, c + 1)]
+        events = tuple(Event(ExactNumber(t), *row) for t, row in enumerate(rows, start=1))
+        log = EventLog(events, ExactNumber(len(rows) + 1))
+        assert read_sets(passes, log) == read_sets(four_pass_recorded_sets, log)
+
+    def test_a_collision_is_named_once_found(self):
+        log = simulate(LinearMap(Fraction(3, 2)), 6)
+        assert read_sets(passes, log) == "meeting at the origin at t=2; recorded sets are void"
