@@ -73,20 +73,15 @@ def _scan(
     when it has none).
 
     `line(i)` is the line of value i, and `line(len(values))` that of the
-    directive; only blank and comment lines are recorded.  The data lines
-    after the leading comment lines (up to the directive, or a line end other
-    than LF or CRLF) and before the next `#` line are converted as one JSON
-    array, if only digits, `-`, spaces, tabs and line ends: JSON spells an
-    integer as `integer` does, less leading zeros, and fails wherever they
-    differ.  A lone carriage return or a head of one blank line would add a
-    line JSON does not see: those texts and JSON failures go line by line.
+    directive; only blank and comment lines are recorded.  The lines before
+    the first `#` that starts a line are converted in one pass, as one JSON
+    array, when they hold only digits, `-`, spaces, tabs and line ends:
+    JSON spells an integer as `integer` does, less leading zeros, and fails
+    on every line where the two would differ.  A carriage return that does
+    not end a line, or a head that is one blank line, would add a line that
+    JSON does not see; those texts, and any JSON failure, go line by line.
     """
-    skip = 0  # the end of the leading comment lines
-    while text.startswith("#", skip) and (end := text.find("\n", skip) + 1):
-        if text[skip:end].split()[0] == directive or len(text[skip:end].splitlines()) > 1:
-            break
-        skip = end
-    head = text[skip : text.find("\n#", skip) + 1 or len(text)]
+    head = text[: text.find("\n#") + 1 or len(text)]
     try:
         if not _PLAIN_HEAD(head) or "\r" in head and head.count("\r") != head.count("\r\n"):
             raise ValueError
@@ -94,12 +89,12 @@ def _scan(
         if not values:
             raise ValueError
     except ValueError:  # also past the interpreter's digit limit
-        skip, head, values = 0, "", []  # the whole text goes line by line
+        head, values = "", []  # the whole text goes line by line
     first = len(values)
     tokens: list[str] = []
-    skipped = [0] * text.count("\n", 0, skip)  # data lines before each blank or comment line
+    skipped: list[int] = []  # how many data lines precede each blank or comment line
     args: Optional[list[str]] = None
-    for lineno, raw in enumerate(text[skip + len(head) :].splitlines(), start=len(skipped) + first + 1):
+    for lineno, raw in enumerate(text[len(head) :].splitlines(), start=first + 1):
         line = raw.strip()
         if line and line[0] != "#":
             if args is not None:

@@ -110,6 +110,11 @@ def recorded_sets(log: EventLog) -> tuple[IntSet, IntSet]:
     The membership of a count c is settled by the single crossing that
     falls between meeting c and meeting c+1, so the horizon is the largest
     count any crossing in the log recorded.
+
+    The log's counts must never fall from one event to the next, as in
+    every log `simulate` makes: the counts below 1 are then a prefix, and
+    each set's last element is its largest.  A log whose counts fall gives
+    other sets and horizon.
     """
     kinds = list(map(itemgetter(1), log.events))
     if COLLISION in kinds:
