@@ -15,7 +15,7 @@ import functools
 import json
 import os
 import sys
-from typing import IO, Any, Iterable, Optional, Union
+from typing import IO, Any, Callable, Iterator, Optional
 
 from . import continuous, formats, runner, sequences
 from .errors import CollisionPresent, EmptyWindow, HorizonExceeded, LamoError, ParseError
@@ -36,9 +36,10 @@ _ERROR_EXITS = {
     CollisionPresent: EXIT_COLLISION,
 }
 
-# What a subcommand reports, in the one format asked for: a JSON object, a
-# CSV (header, rows) pair, or the finished text.
-Report = Union[dict[str, Any], tuple[list[str], Iterable[Iterable[Any]]], str]
+# What a subcommand reports: its JSON form (an object, or for `simulate` the
+# finished JSON text) and its text form, each a zero-argument callable, so
+# that only the form asked for is built.  CSV is a view of the JSON form.
+Report = tuple[Callable[[], Any], Callable[[], str]]
 
 
 def _read_input(path: str) -> str:
@@ -51,57 +52,81 @@ def _read_input(path: str) -> str:
         raise ParseError(f"cannot read {path}: {e}") from None
 
 
-def _render(report: Report, out: IO[str]) -> None:
-    if isinstance(report, str):
-        out.write(report)
-    elif isinstance(report, dict):
-        out.write(json.dumps(report) + "\n")
+def _cells(value: Any) -> list[Any]:
+    """A JSON value as CSV cells: a string as it is, any other scalar as JSON
+    spells it (`true`, `null`), and a flat array or object one item a cell."""
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, list):
+        value = [value]
+    return [v if isinstance(v, str) else json.dumps(v) for v in value]
+
+
+def _csv_rows(value: Any, path: str = "") -> Iterator[list[Any]]:
+    """The CSV rows of a JSON value: `path,value` for each scalar, at its
+    dotted path, `path,item` for each array item, and a bare `path` for an
+    empty array."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            yield from _csv_rows(v, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        if not value:
+            yield [path]
+        for item in value:
+            yield [path, *_cells(item)]
     else:
-        import csv  # only this format uses it, so other invocations start without it
-        header, rows = report
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+        yield [path, *_cells(value)]
 
 
-def _sequence_report(s: NumberSequence, fmt: str, horizon: Any, note_horizon: bool) -> Report:
+def _render(report: Report, fmt: str, out: IO[str]) -> None:
+    """Write the one form of the report that `fmt` names into `out`."""
+    as_json, as_text = report
+    if fmt == "text":
+        out.write(as_text())
+        return
+    obj = as_json()
+    if fmt == "json":
+        out.write(obj if isinstance(obj, str) else json.dumps(obj) + "\n")
+        return
+    import csv  # only this format uses it, so other invocations start without it
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(["key", "value"])
+    w.writerows(_csv_rows(json.loads(obj) if isinstance(obj, str) else obj))
+
+
+def _sequence_report(s: NumberSequence, horizon: Any, note_horizon: bool) -> Report:
     """The window s of a sequence whose own horizon is `horizon`."""
     exact_through = "unbounded" if horizon is INF else horizon
-    if fmt == "json":
-        return {**formats.sequence_to_json(s), "exact_through": exact_through}
-    if fmt == "csv":
-        return ["n", "value"], enumerate(formats.sequence_to_json(s)["terms"], start=1)
-    text = formats.render_sequence_text(s)
-    return f"# exact through: {exact_through}\n{text}" if note_horizon else text
+    note = f"# exact through: {exact_through}\n" if note_horizon else ""
+    return (
+        lambda: {**formats.sequence_to_json(s), "exact_through": exact_through},
+        lambda: note + formats.render_sequence_text(s),
+    )
 
 
 # -- subcommands ----------------------------------------------------------
 
 
-def _cmd_invert(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
+def _cmd_invert(args: argparse.Namespace) -> tuple[int, Report]:
     f = formats.parse_sequence(_read_input(args.input))
     g = sequences.invert(f, args.limit)
-    return _sequence_report(g, fmt, sequences.inverse_horizon(f), note_horizon=True), EXIT_OK
+    return EXIT_OK, _sequence_report(g, sequences.inverse_horizon(f), note_horizon=True)
 
 
-def _cmd_hat(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
+def _cmd_hat(args: argparse.Namespace) -> tuple[int, Report]:
     f = formats.parse_sequence(_read_input(args.input))
     s = sequences.hat(f, args.K)
-    if fmt == "json":
-        return formats.intset_to_json(s), EXIT_OK
-    if fmt == "csv":
-        return (["element"], ([e] for e in s.elements)), EXIT_OK
-    return formats.render_intset_text(s), EXIT_OK
+    return EXIT_OK, (lambda: formats.intset_to_json(s), lambda: formats.render_intset_text(s))
 
 
-def _cmd_unhat(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
+def _cmd_unhat(args: argparse.Namespace) -> tuple[int, Report]:
     s = formats.parse_intset(_read_input(args.input))
     f = sequences.from_set(s, complete=args.complete)
     window = f.window(args.limit)
-    return _sequence_report(window, fmt, f.determined_horizon(), note_horizon=False), EXIT_OK
+    return EXIT_OK, _sequence_report(window, f.determined_horizon(), note_horizon=False)
 
 
-def _cmd_check(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
+def _cmd_check(args: argparse.Namespace) -> tuple[int, Report]:
     f = formats.parse_sequence(_read_input(args.f))
     g = formats.parse_sequence(_read_input(args.g))
     witness = sequences.grid_witness(f, g, args.M, args.N)
@@ -109,122 +134,74 @@ def _cmd_check(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
         sequences.hat(f, args.K), sequences.hat(g, args.K), args.K
     )
     ok = witness is None and verdict.ok
-    code = EXIT_OK if ok else EXIT_VERDICT
-    if fmt == "json":
-        return {
-            "grid": {
-                "window": [args.M, args.N],
-                "ok": witness is None,
-                "witness": None
-                if witness is None
-                else {"m": witness[0], "n": witness[1], "kind": witness[2]},
-            },
-            "complementary": {
-                "window": args.K,
-                "verdict": verdict.kind,
-                "witness": verdict.witness,
-            },
-            "ok": ok,
-        }, code
-    if fmt == "csv":
-        rows = [
-            ["grid", "pass" if witness is None else "fail",
-             "" if witness is None else "m={} n={} {}".format(*witness)],
-            ["complementary", verdict.kind,
-             "" if verdict.witness is None else str(verdict.witness)],
-        ]
-        return (["check", "result", "witness"], rows), code
     grid = "pass" if witness is None else "fail at m={} n={} ({})".format(*witness)
-    return (
-        f"mutual-inverse {args.M}x{args.N}: {grid}\n"
-        f"complementary [1,{args.K}]: {verdict}\n"
-    ), code
+    return EXIT_OK if ok else EXIT_VERDICT, (
+        lambda: {"grid": {"window": [args.M, args.N], "ok": witness is None,
+                          "witness": witness and dict(zip(("m", "n", "kind"), witness))},
+                 "complementary": {"window": args.K, "verdict": verdict.kind,
+                                   "witness": verdict.witness},
+                 "ok": ok},
+        lambda: f"mutual-inverse {args.M}x{args.N}: {grid}\n"
+        f"complementary [1,{args.K}]: {verdict}\n",
+    )
 
 
-def _cmd_beatty(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
+def _cmd_beatty(args: argparse.Namespace) -> tuple[int, Report]:
     lam = ExactNumber.parse(args.lam)
     a, b = continuous.beatty_pair(lam, args.K)
     verdict = sequences.check_complementary(a, b, args.K)
     avoid = continuous.lattice_avoidance(continuous.LinearMap(lam), args.K)
-    if fmt == "json":
-        return {
-            "A": formats.intset_to_json(a),
-            "B": formats.intset_to_json(b),
-            "verdict": verdict.kind,
-            "witness": verdict.witness,
-            "avoidance": {
-                "holds": avoid.holds,
-                "violation": avoid.violation,
-                "checked_through": avoid.checked_through,
-            },
-        }, EXIT_OK
-    if fmt == "csv":
-        rows = [["A", e] for e in a.elements] + [["B", e] for e in b.elements]
-        return (["set", "element"], rows), EXIT_OK
-    return (
-        f"A: {a}\nB: {b}\n"
-        f"complementary [1,{args.K}]: {verdict}\n"
-        f"lattice avoidance n<={args.K}: {avoid}\n"
-    ), EXIT_OK
+    return EXIT_OK, (
+        lambda: {"A": formats.intset_to_json(a), "B": formats.intset_to_json(b),
+                 "verdict": verdict.kind, "witness": verdict.witness,
+                 "avoidance": {"holds": avoid.holds, "violation": avoid.violation,
+                               "checked_through": avoid.checked_through}},
+        lambda: f"A: {a}\nB: {b}\ncomplementary [1,{args.K}]: {verdict}\n"
+        f"lattice avoidance n<={args.K}: {avoid}\n",
+    )
 
 
-def _cmd_construct_phi(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
+def _cmd_construct_phi(args: argparse.Namespace) -> tuple[int, Report]:
     f = formats.parse_sequence(_read_input(args.input))
     obj = formats.map_to_json(continuous.construct_phi(f))
-    if fmt == "json":
-        return obj, EXIT_OK
-    if fmt == "csv":
-        rows = [[t, v] for t, v in obj["anchors"]]
-        rows.append(["tail", obj["tail"]["kind"]])
-        if "limit" in obj["tail"]:
-            rows.append(["limit", obj["tail"]["limit"]])
-        return (["t", "value"], rows), EXIT_OK
-    return json.dumps(obj, indent=2) + "\n", EXIT_OK
+    return EXIT_OK, (lambda: obj, lambda: json.dumps(obj, indent=2) + "\n")
 
 
-def _cmd_simulate(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
+def _cmd_simulate(args: argparse.Namespace) -> tuple[int, Report]:
     text = args.map if args.map.lstrip().startswith("{") else _read_input(args.map)
     phi = formats.parse_map(text)
     log = runner.simulate(phi, ExactNumber.parse(args.T))
     try:
         s_x, s_y = runner.recorded_sets(log)
     except CollisionPresent:
+        t = log.collisions()[0].time
         code = EXIT_COLLISION
+        summary = lambda: {"collision_at": t.literal()}
+        note = lambda: f"collision at t={t}\n"
     else:
         h = s_x.horizon
         alg_y, alg_x = continuous.corollary_sets(phi, h) if h >= 1 else (IntSet((), 0),) * 2
         agree = s_x == alg_x and s_y == alg_y
         code = EXIT_OK if agree else EXIT_VERDICT
-    if fmt == "csv":
-        rows = ([e.time.literal(), e.kind, e.count] for e in log.events)
-        return (["t", "kind", "count"], rows), code
-    if code == EXIT_COLLISION:
-        t = log.collisions()[0].time
-        summary = {"collision_at": t.literal()} if fmt == "json" else f"collision at t={t}\n"
-    elif fmt == "json":
-        summary = {
+        summary = lambda: {
             "recorded": {"S_X": formats.intset_to_json(s_x), "S_Y": formats.intset_to_json(s_y)},
             "algebraic": {"S_X": formats.intset_to_json(alg_x), "S_Y": formats.intset_to_json(alg_y)},
             "agree": agree,
         }
-    else:
-        summary = (
+        note = lambda: (
             f"recorded S_X: {s_x}\nrecorded S_Y: {s_y}\n"
             f"algebraic S_X: {alg_x}\nalgebraic S_Y: {alg_y}\n"
             f"agree: {'yes' if agree else 'NO'}\n"
         )
-    if fmt == "json":
-        return formats.events_to_json(log, summary) + "\n", code
-    return formats.events_to_jsonl(log) + summary, code
+    return code, (
+        lambda: formats.events_to_json(log, summary()) + "\n",
+        lambda: formats.events_to_jsonl(log) + note(),
+    )
 
 
-def _cmd_classify(args: argparse.Namespace, fmt: str) -> tuple[Report, int]:
+def _cmd_classify(args: argparse.Namespace) -> tuple[int, Report]:
     cls = sequences.classify(formats.parse_sequence(_read_input(args.input)))
-    if fmt == "json":
-        return {"class": cls}, EXIT_OK
-    if fmt == "csv":
-        return (["class"], [[cls]]), EXIT_OK
-    return cls + "\n", EXIT_OK
+    return EXIT_OK, (lambda: {"class": cls}, lambda: cls + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -301,19 +278,19 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ParseError(f"unknown output format {fmt!r}")
         if getattr(args, "limit", None) is not None:
             sequences.require_bound(args.limit, "--limit", least=0)
-        report, code = cmd(args, fmt)
+        code, report = cmd(args)
     except (LamoError, OverflowError) as e:
         print(f"lamo: {e.__class__.__name__}: {e}", file=sys.stderr)
         return next((c for cls, c in _ERROR_EXITS.items() if isinstance(e, cls)), EXIT_PARSE)
     if args.output:
         try:
             with open(args.output, "w") as out:
-                _render(report, out)
+                _render(report, fmt, out)
         except OSError as e:
             print(f"lamo: cannot write {args.output}: {e}", file=sys.stderr)
             return EXIT_PARSE
     else:
-        _render(report, sys.stdout)
+        _render(report, fmt, sys.stdout)
     return code
 
 

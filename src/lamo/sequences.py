@@ -313,15 +313,18 @@ def invert(f: NumberSequence, upto: Optional[int] = None) -> NumberSequence:
     else:
         # Unknown tail: exact exactly for n <= f(N).
         top, tail = run[-1], Tail.unknown()
+    pad = ()
     if upto is not None:
         require_bound(upto, "inverse window", least=0)
         if upto < top:
             run, top, tail = run[: bisect_left(run, upto)], upto, Tail.unknown()
+        elif tail.kind != "unknown":  # the window goes on with the tail's value
+            pad = (INF if tail.kind == "infinite" else len(run),) * (upto - top)
     # The run of i is the tuple (i,) times f(i+1) - f(i), over the bounds
     # f(0) = 0, f(1), .., f(N), top.
     bounds = (0, *run, top)
     runs = map(mul, zip(range(len(run) + 1)), map(sub, bounds[1:], bounds))
-    return NumberSequence(chain.from_iterable(runs), tail).window(upto)
+    return NumberSequence(chain(chain.from_iterable(runs), pad), tail)
 
 
 def grid_witness(

@@ -90,7 +90,7 @@ class TestInvert:
         f = write(tmp_path, "f.txt", SQUARES)
         code, out, _ = run(capsys, "invert", f, "--limit", "2", "--format", "csv")
         assert code == 0
-        assert out == "n,value\n1,0\n2,1\n"
+        assert out == "key,value\nterms,0\nterms,1\ntail.kind,unknown\nexact_through,25\n"
 
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(SQUARES))
@@ -170,7 +170,9 @@ class TestInvertWindows:
                     + "".join(f"{t}\n" for t in terms) + f"#tail {tail}\n",
             "json": f'{{"terms": [{listed}], "tail": {json_tail}, '
                     f'"exact_through": {json_through}}}\n',
-            "csv": "n,value\n" + "".join(f"{n},{t}\n" for n, t in enumerate(terms, start=1)),
+            "csv": "key,value\n" + ("".join(f"terms,{t}\n" for t in terms) or "terms\n")
+                   + f"tail.kind,{kind}\n" + (f"tail.value,{value}\n" if value else "")
+                   + f"exact_through,{through}\n",
         }
         for fmt, want in expected.items():
             got = run(capsys, "invert", f, "--limit", str(limit), "--format", fmt)
@@ -345,7 +347,11 @@ class TestBeatty:
     def test_csv_lists_both_sets(self, capsys):
         code, out, _ = run(capsys, "beatty", "1", "4", "--format", "csv")
         assert code == 0
-        assert out == "set,element\nA,2\nA,4\nB,2\nB,4\n"
+        assert out == (
+            "key,value\nA.elements,2\nA.elements,4\nA.horizon,4\nB.elements,2\nB.elements,4\n"
+            "B.horizon,4\nverdict,overlap\nwitness,2\navoidance.holds,false\n"
+            "avoidance.violation,1\navoidance.checked_through,4\n"
+        )
 
 
 class TestConstructPhi:
@@ -552,22 +558,27 @@ GOLDEN = [
     pytest.param(['invert', 'squares', '--limit', '4'], 'json', 0,
                  '{"terms": [0, 1, 1, 1], "tail": {"kind": "unknown"}, "exact_through": 25}\n',
                  id='invert-json'),
-    pytest.param(['invert', 'squares', '--limit', '4'], 'csv', 0,
-                 'n,value\n1,0\n2,1\n3,1\n4,1\n', id='invert-csv'),
+    pytest.param(['invert', 'squares', '--limit', '4'], 'csv', 0, (
+        'key,value\nterms,0\nterms,1\nterms,1\nterms,1\ntail.kind,unknown\n'
+        'exact_through,25\n'
+    ), id='invert-csv'),
     pytest.param(['hat', 'hatin', '10'], 'text', 0,
                  '1\n2\n4\n8\n#horizon 10\n', id='hat-text'),
     pytest.param(['hat', 'hatin', '10'], 'json', 0,
                  '{"elements": [1, 2, 4, 8], "horizon": 10}\n', id='hat-json'),
     pytest.param(['hat', 'hatin', '10'], 'csv', 0,
-                 'element\n1\n2\n4\n8\n', id='hat-csv'),
+                 'key,value\nelements,1\nelements,2\nelements,4\nelements,8\nhorizon,10\n',
+                 id='hat-csv'),
     pytest.param(['unhat', 'hatset', '--complete', '--limit', '6'], 'text', 0,
                  '0\n0\n1\n4\ninf\ninf\n#tail infinite\n', id='unhat-text'),
     pytest.param(['unhat', 'hatset', '--complete', '--limit', '6'], 'json', 0, (
         '{"terms": [0, 0, 1, 4, "inf", "inf"], "tail": {"kind": "infinite"}, '
         '"exact_through": "unbounded"}\n'
     ), id='unhat-json'),
-    pytest.param(['unhat', 'hatset', '--complete', '--limit', '6'], 'csv', 0,
-                 'n,value\n1,0\n2,0\n3,1\n4,4\n5,inf\n6,inf\n', id='unhat-csv'),
+    pytest.param(['unhat', 'hatset', '--complete', '--limit', '6'], 'csv', 0, (
+        'key,value\nterms,0\nterms,0\nterms,1\nterms,4\nterms,inf\nterms,inf\n'
+        'tail.kind,infinite\nexact_through,unbounded\n'
+    ), id='unhat-csv'),
     pytest.param(['check', 'short', 'short', '3', '3', '6'], 'text', 1, (
         'mutual-inverse 3x3: fail at m=1 n=1 (neither)\n'
         'complementary [1,6]: overlap(2)\n'
@@ -577,9 +588,11 @@ GOLDEN = [
         '"kind": "neither"}}, "complementary": {"window": 6, "verdict": "overlap", '
         '"witness": 2}, "ok": false}\n'
     ), id='check-json'),
-    pytest.param(['check', 'short', 'short', '3', '3', '6'], 'csv', 1,
-                 'check,result,witness\ngrid,fail,m=1 n=1 neither\ncomplementary,overlap,2\n',
-                 id='check-csv'),
+    pytest.param(['check', 'short', 'short', '3', '3', '6'], 'csv', 1, (
+        'key,value\ngrid.window,3\ngrid.window,3\ngrid.ok,false\ngrid.witness.m,1\n'
+        'grid.witness.n,1\ngrid.witness.kind,neither\ncomplementary.window,6\n'
+        'complementary.verdict,overlap\ncomplementary.witness,2\nok,false\n'
+    ), id='check-csv'),
     pytest.param(['beatty', '2/3', '6'], 'text', 0, (
         'A: {1, 3, 5, 6} horizon 6\nB: {2, 5} horizon 6\n'
         'complementary [1,6]: overlap(5)\nlattice avoidance n<=6: violation(3)\n'
@@ -589,8 +602,11 @@ GOLDEN = [
         '"horizon": 6}, "verdict": "overlap", "witness": 5, '
         '"avoidance": {"holds": false, "violation": 3, "checked_through": 6}}\n'
     ), id='beatty-json'),
-    pytest.param(['beatty', '2/3', '6'], 'csv', 0,
-                 'set,element\nA,1\nA,3\nA,5\nA,6\nB,2\nB,5\n', id='beatty-csv'),
+    pytest.param(['beatty', '2/3', '6'], 'csv', 0, (
+        'key,value\nA.elements,1\nA.elements,3\nA.elements,5\nA.elements,6\nA.horizon,6\n'
+        'B.elements,2\nB.elements,5\nB.horizon,6\nverdict,overlap\nwitness,5\n'
+        'avoidance.holds,false\navoidance.violation,3\navoidance.checked_through,6\n'
+    ), id='beatty-csv'),
     pytest.param(['construct-phi', 'bounded'], 'text', 0, (
         '{\n  "kind": "piecewise",\n  "anchors": [\n    [\n      1,\n      "3/2"\n'
         '    ],\n    [\n      2,\n      "5/3"\n    ],\n    [\n      3,\n'
@@ -601,9 +617,10 @@ GOLDEN = [
         '{"kind": "piecewise", "anchors": [[1, "3/2"], [2, "5/3"], [3, "11/4"]], '
         '"tail": {"kind": "saturate", "limit": "3"}}\n'
     ), id='construct-phi-json'),
-    pytest.param(['construct-phi', 'bounded'], 'csv', 0,
-                 't,value\n1,3/2\n2,5/3\n3,11/4\ntail,saturate\nlimit,3\n',
-                 id='construct-phi-csv'),
+    pytest.param(['construct-phi', 'bounded'], 'csv', 0, (
+        'key,value\nkind,piecewise\nanchors,1,3/2\nanchors,2,5/3\nanchors,3,11/4\n'
+        'tail.kind,saturate\ntail.limit,3\n'
+    ), id='construct-phi-csv'),
     pytest.param(['simulate', '{"kind":"linear","lambda":"sqrt(2)"}', '1'], 'text', 0, (
         '{"t": "(-1+1*sqrt(2))", "kind": "meeting", "count": 1}\n'
         '{"t": "sqrt(2)/2", "kind": "x_crosses_origin", "count": 1}\n'
@@ -622,8 +639,11 @@ GOLDEN = [
         '"S_Y": {"elements": [2], "horizon": 2}}, "agree": true}\n'
     ), id='simulate-json'),
     pytest.param(['simulate', '{"kind":"linear","lambda":"sqrt(2)"}', '1'], 'csv', 0, (
-        't,kind,count\n(-1+1*sqrt(2)),meeting,1\nsqrt(2)/2,x_crosses_origin,1\n'
-        '(-2+2*sqrt(2)),meeting,2\n1,y_crosses_origin,2\n'
+        'key,value\nevents,(-1+1*sqrt(2)),meeting,1\nevents,sqrt(2)/2,x_crosses_origin,1\n'
+        'events,(-2+2*sqrt(2)),meeting,2\nevents,1,y_crosses_origin,2\n'
+        'recorded.S_X.elements,1\nrecorded.S_X.horizon,2\nrecorded.S_Y.elements,2\n'
+        'recorded.S_Y.horizon,2\nalgebraic.S_X.elements,1\nalgebraic.S_X.horizon,2\n'
+        'algebraic.S_Y.elements,2\nalgebraic.S_Y.horizon,2\nagree,true\n'
     ), id='simulate-csv'),
     pytest.param(['simulate', '{"kind":"linear","lambda":"1"}', '2'], 'text', 4, (
         '{"t": "1/2", "kind": "meeting", "count": 1}\n'
@@ -637,15 +657,16 @@ GOLDEN = [
         '"count": 3}, {"t": "2", "kind": "collision", "count": 4}], '
         '"collision_at": "1"}\n'
     ), id='simulate-collision-json'),
-    pytest.param(['simulate', '{"kind":"linear","lambda":"1"}', '2'], 'csv', 4,
-                 't,kind,count\n1/2,meeting,1\n1,collision,2\n3/2,meeting,3\n2,collision,4\n',
-                 id='simulate-collision-csv'),
+    pytest.param(['simulate', '{"kind":"linear","lambda":"1"}', '2'], 'csv', 4, (
+        'key,value\nevents,1/2,meeting,1\nevents,1,collision,2\nevents,3/2,meeting,3\n'
+        'events,2,collision,4\ncollision_at,1\n'
+    ), id='simulate-collision-csv'),
     pytest.param(['classify', 'bounded'], 'text', 0,
                  'bounded\n', id='classify-text'),
     pytest.param(['classify', 'bounded'], 'json', 0,
                  '{"class": "bounded"}\n', id='classify-json'),
     pytest.param(['classify', 'bounded'], 'csv', 0,
-                 'class\nbounded\n', id='classify-csv'),
+                 'key,value\nclass,bounded\n', id='classify-csv'),
 ]
 
 
@@ -653,6 +674,38 @@ GOLDEN = [
 def test_golden_output(tmp_path, capsys, argv, fmt, code, expected):
     argv = [write(tmp_path, a, GOLDEN_INPUTS[a]) if a in GOLDEN_INPUTS else a for a in argv]
     assert run(capsys, *argv, "--format", fmt)[:2] == (code, expected)
+
+
+def _json_rows(value, path):
+    """The rows a JSON value's leaves must have in the CSV form, in order."""
+    spell = lambda v: v if isinstance(v, str) else json.dumps(v)
+    if isinstance(value, dict):
+        for key, v in value.items():
+            yield from _json_rows(v, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        if not value:
+            yield [path]
+        for item in value:
+            if isinstance(item, dict):
+                item = list(item.values())
+            yield [path, *map(spell, item if isinstance(item, list) else [item])]
+    else:
+        yield [path, spell(value)]
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(argv, code, id=p.id.removesuffix("-json"))
+    for p in GOLDEN for argv, fmt, code, _ in [p.values] if fmt == "json"
+])
+def test_csv_carries_what_json_carries(tmp_path, capsys, argv, code):
+    import csv
+
+    argv = [write(tmp_path, a, GOLDEN_INPUTS[a]) if a in GOLDEN_INPUTS else a for a in argv]
+    json_code, out, _ = run(capsys, *argv, "--format", "json")
+    csv_code, table, _ = run(capsys, *argv, "--format", "csv")
+    assert json_code == csv_code == code
+    rows = list(csv.reader(io.StringIO(table)))
+    assert rows == [["key", "value"], *_json_rows(json.loads(out), "")]
 
 
 def _subclasses(cls):
@@ -663,7 +716,7 @@ def _subclasses(cls):
 
 @pytest.mark.parametrize("error", [LamoError, *_subclasses(LamoError)], ids=lambda c: c.__name__)
 def test_error_table(tmp_path, capsys, monkeypatch, error):
-    def fail(args, fmt):
+    def fail(args):
         raise error("boom")
 
     monkeypatch.setattr(cli, "_cmd_classify", fail)
