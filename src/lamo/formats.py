@@ -20,7 +20,6 @@ reported with its line (text) or its term or element index (JSON).
 from __future__ import annotations
 
 import json
-import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import countOf
@@ -58,11 +57,18 @@ def _decode(text: str, from_json: Callable[[Any], Any], from_text: Callable[[str
     return from_text(text)
 
 
-_PLAIN_HEAD = re.compile(r"[0-9\n\r\t -]*").fullmatch
-
-
 def _plain(text: str) -> bool:  # does int() read only `integer`'s spelling in it?
     return text.isascii() and "_" not in text and "+" not in text
+
+
+def _plain_head(text: str) -> Optional[str]:
+    """The text before its first `#` (all of it without one), if that `#`
+    follows a line end and the head holds only ASCII digits, `-`, spaces,
+    tabs and line ends; None otherwise."""
+    i = text.find("#")
+    head = text[:i] if i >= 0 else text
+    plain = head.isascii() and not head.encode().translate(None, b"0123456789\n\r\t -")
+    return head if plain and (i < 0 or head.endswith("\n")) else None
 
 
 def _scan(
@@ -73,17 +79,18 @@ def _scan(
     when it has none).
 
     `line(i)` is the line of value i, and `line(len(values))` that of the
-    directive; only blank and comment lines are recorded.  The lines before
-    the first `#` that starts a line are converted in one pass, as one JSON
-    array, when they hold only digits, `-`, spaces, tabs and line ends:
-    JSON spells an integer as `integer` does, less leading zeros, and fails
-    on every line where the two would differ.  A carriage return that does
-    not end a line, or a head that is one blank line, would add a line that
-    JSON does not see; those texts, and any JSON failure, go line by line.
+    directive; only blank and comment lines are recorded.  The head, the
+    text before the first `#` if a line end precedes it, is converted as one
+    JSON array when one byte pass finds only digits, `-`, spaces, tabs and
+    line ends in it: JSON spells an integer as `integer` does, less leading
+    zeros, and fails on every line where the two would differ.  A carriage
+    return that does not end a line, or a head that is one blank line, would
+    add a line that JSON does not see; those texts, texts without a head (a
+    leading comment, say), and any JSON failure go line by line.
     """
-    head = text[: text.find("\n#") + 1 or len(text)]
+    head = _plain_head(text)
     try:
-        if not _PLAIN_HEAD(head) or "\r" in head and head.count("\r") != head.count("\r\n"):
+        if head is None or "\r" in head and head.count("\r") != head.count("\r\n"):
             raise ValueError
         values: list[Any] = json.loads("[" + head.removesuffix("\n").replace("\n", ",") + "]")
         if not values:
@@ -200,12 +207,13 @@ def sequence_from_json(obj: Any) -> NumberSequence:
     tail = obj.get("tail", {"kind": "unknown"})
     if not isinstance(tail, dict) or "kind" not in tail:
         raise ParseError("sequence JSON 'tail' must be an object with a 'kind'")
-    # A copy, in which only the terms from the first "inf" on are compared.
-    try:
-        i = terms.index("inf")
-    except ValueError:
-        i = len(terms)
-    terms = terms[:i] + [INF if t == "inf" else t for t in terms[i:]]
+    if countOf(map(type, terms), int) < len(terms):
+        # A copy, in which only the terms from the first "inf" on are compared.
+        try:
+            i = terms.index("inf")
+        except ValueError:
+            i = len(terms)
+        terms = terms[:i] + [INF if t == "inf" else t for t in terms[i:]]
     return _sequence(terms, tail["kind"], tail.get("value"))
 
 

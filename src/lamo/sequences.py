@@ -248,9 +248,9 @@ class IntSet(_Record):
         object.__setattr__(self, "elements", tuple(elements))
         prev = 0
         for e in self.elements:
-            if type(e) is not int or e < 1:
-                raise NotPositive(f"set element must be a positive integer: {e!r}")
-            if e <= prev:
+            if type(e) is not int or e <= prev:  # from prev = 0, also every int below 1
+                if type(e) is not int or e < 1:
+                    raise NotPositive(f"set element must be a positive integer: {e!r}")
                 raise NotSorted(f"set elements must be strictly increasing: {e} after {prev}")
             prev = e
         require_bound(horizon, "horizon", least=0)

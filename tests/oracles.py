@@ -34,7 +34,9 @@ former counting inverse, one `bisect_left` per output term.
 `pointwise_induced_inverse` is the map route's former inverse, one
 `inverse_eval` per index instead of one walk over the crossings.
 `scan_parse_text` is the text files' former scanner, which reads every
-line on its own.  `check_non_decreasing` is the sequence order rule as the
+line on its own, and `regex_plain_head` the former rule for the head that
+the scanner reads in one pass: up to the first `#` that starts a line,
+checked by a regex.  `check_non_decreasing` is the sequence order rule as the
 operations checked it before `NumberSequence` did, and
 `scan_complementary` the complementarity check's former loop over the
 integers of the window.  `isqrt_multiple_floors` is the former rule for the
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from bisect import bisect_left, bisect_right
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -491,3 +494,11 @@ def scan_parse_text(text: str, directive: str, inf: bool = False):
         raise ParseError(f"line {line_of(i)}: expected {what}, got {t!r}")
 
     return [value(i, t) for i, t in enumerate(tokens)], line_of, args
+
+
+def regex_plain_head(text: str):
+    """The text up to the first `#` that starts a line (all of it without
+    one), when it holds only ASCII digits, `-`, spaces, tabs and line ends;
+    None otherwise."""
+    head = text[: text.find("\n#") + 1 or len(text)]
+    return head if re.fullmatch(r"[0-9\n\r\t -]*", head) else None

@@ -36,6 +36,7 @@ from oracles import (
     per_term_intset_text,
     per_term_sequence_json,
     per_term_sequence_text,
+    regex_plain_head,
     scan_parse_text,
 )
 
@@ -215,6 +216,18 @@ class TestSequenceJson:
         with pytest.raises(NotNonDecreasing, match="term 3 \\(3\\) is below term 2 \\(inf\\)"):
             sequence_from_json({"terms": [0, "inf", 3], "tail": {"kind": "unknown"}})
 
+    @pytest.mark.parametrize("terms, expected", [
+        ([0, 1, 3], ((0, 1, 3), Tail.unknown())),
+        ([0, 2, "inf", "inf"], ((0, 2, INF, INF), Tail.infinite())),
+        ([0, "inf", 3], (NotNonDecreasing, "term 3 (3) is below term 2 (inf)")),
+        ([0, True, 2], (ParseError, "term 2: expected a non-negative integer or 'inf', got True")),
+        ([0, 1.0, 2], (ParseError, "term 2: expected a non-negative integer or 'inf', got 1.0")),
+        ([0, [1], 2], (ParseError, "term 2: expected a non-negative integer or 'inf', got [1]")),
+    ], ids=["ints", "inf-suffix", "inf-inside", "true", "float", "nested"])
+    def test_terms_value_or_error(self, terms, expected):
+        obj = {"terms": terms, "tail": {"kind": "unknown"}}
+        assert _parsed(sequence_from_json, obj) == expected
+
     @pytest.mark.parametrize("kind", ["unknown", "infinite"])
     def test_tail_without_a_value_rejects_one(self, kind):
         with pytest.raises(ParseError, match="carries no value, got 3"):
@@ -350,11 +363,26 @@ class TestScanRoutes:
     @example("2\r\r\n1\n#horizon 1\n")
     @example("\n#tail constant -1\n")
     @example(" \r\n#horizon 1 2\n")
+    # Where the file's first `#` sits, and a head that is not ASCII.
+    @example("1\n2#\n3\n#tail unknown\n")
+    @example("#c\n1\n2\n")
+    @example("\n#tail unknown\n")
+    @example("1\n٣\n")
+    @example("1\n2\n#")
+    @example("1\r#tail unknown\r")
     def test_same_as_the_per_line_route(self, text):
         for parse in (parse_sequence_text, parse_intset_text):
             got = _parsed(parse, text)
             with mock.patch.object(lamo.formats, "_scan", scan_parse_text):
                 assert got == _parsed(parse, text), (parse.__name__, text)
+
+    @settings(max_examples=300)
+    @given(st.one_of(text_files(), st.text("0123456789-x #\t\r\n\x0c\x85\u2028\x1c\x00٣３")))
+    @example("#")
+    @example("1\n#")
+    @example("1#\n2\n#tail unknown\n")
+    def test_head_as_the_regex_rule_finds_it(self, text):
+        assert lamo.formats._plain_head(text) == regex_plain_head(text)
 
     @pytest.mark.parametrize("text, per_line", [
         ("1\n2\n3\n#tail constant 5\n# end\n", [[], ["5"]]),

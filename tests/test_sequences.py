@@ -532,6 +532,22 @@ class TestFromSet:
         with pytest.raises(HorizonExceeded):
             IntSet((1, 9), 5)
 
+    @pytest.mark.parametrize("elements, error, message", [
+        ((0,), NotPositive, "set element must be a positive integer: 0"),
+        ((-1,), NotPositive, "set element must be a positive integer: -1"),
+        ((True,), NotPositive, "set element must be a positive integer: True"),
+        (("x",), NotPositive, "set element must be a positive integer: 'x'"),
+        ((1.5,), NotPositive, "set element must be a positive integer: 1.5"),
+        ((2, 2), NotSorted, "set elements must be strictly increasing: 2 after 2"),
+        ((3, 2), NotSorted, "set elements must be strictly increasing: 2 after 3"),
+        ((1, 0), NotPositive, "set element must be a positive integer: 0"),
+        ((1, 9), HorizonExceeded, "element 9 lies beyond the horizon 5"),
+    ])
+    def test_intset_failure_class_and_message(self, elements, error, message):
+        with pytest.raises(error) as info:
+            IntSet(elements, 5)
+        assert type(info.value) is error and str(info.value) == message
+
     @given(sequences_st(), st.integers(1, 60))
     def test_hat_bijection_agrees_with_f(self, f, K):
         back = from_set(hat(f, K), False)
