@@ -127,6 +127,8 @@ def _cmd_unhat(args: argparse.Namespace) -> tuple[int, Report]:
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[int, Report]:
+    if args.f == args.g == "-":
+        raise ParseError("stdin ('-') can be read once, but f and g both name it")
     f = formats.parse_sequence(_read_input(args.f))
     g = formats.parse_sequence(_read_input(args.g))
     witness = sequences.grid_witness(f, g, args.M, args.N)
@@ -279,18 +281,21 @@ def main(argv: Optional[list[str]] = None) -> int:
         if getattr(args, "limit", None) is not None:
             sequences.require_bound(args.limit, "--limit", least=0)
         code, report = cmd(args)
+        if args.output:
+            try:
+                with open(args.output, "w") as out:
+                    _render(report, fmt, out)
+            except OSError as e:
+                print(f"lamo: cannot write {args.output}: {e}", file=sys.stderr)
+                return EXIT_PARSE
+        else:
+            _render(report, fmt, sys.stdout)
     except (LamoError, OverflowError) as e:
         print(f"lamo: {e.__class__.__name__}: {e}", file=sys.stderr)
         return next((c for cls, c in _ERROR_EXITS.items() if isinstance(e, cls)), EXIT_PARSE)
-    if args.output:
-        try:
-            with open(args.output, "w") as out:
-                _render(report, fmt, out)
-        except OSError as e:
-            print(f"lamo: cannot write {args.output}: {e}", file=sys.stderr)
-            return EXIT_PARSE
-    else:
-        _render(report, fmt, sys.stdout)
+    except MemoryError:  # building or writing the report
+        print("lamo: MemoryError: the answer does not fit in memory", file=sys.stderr)
+        return EXIT_PARSE
     return code
 
 

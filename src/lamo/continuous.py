@@ -46,7 +46,7 @@ from .errors import (
     OutsideImage,
     UnsupportedPoint,
 )
-from .exact import Coercible as Timelike, ExactNumber
+from .exact import Coercible, ExactNumber
 from .sequences import (
     IntSet,
     NumberSequence,
@@ -58,7 +58,7 @@ from .sequences import (
 LevelTimes = Iterator[tuple[int, ExactNumber]]
 
 
-def _fraction(x: Timelike, what: str) -> Fraction:
+def _fraction(x: Coercible, what: str) -> Fraction:
     """x as a Fraction; UnsupportedPoint when it is irrational."""
     if isinstance(x, Fraction):
         return x
@@ -71,7 +71,7 @@ def _fraction(x: Timelike, what: str) -> Fraction:
 class MonotoneMap:
     """Strictly increasing continuous map on (0, oo) with exact queries."""
 
-    def level_times(self, shift: int, until: Optional[Timelike] = None) -> LevelTimes:
+    def level_times(self, shift: int, until: Optional[Coercible] = None) -> LevelTimes:
         """(k, t_k) for k = 1, 2, .. with phi(t_k) + shift*t_k = k and t_k <= until,
         lazily; with until None the stream has no bound and may be endless.
 
@@ -86,25 +86,25 @@ class LinearMap(MonotoneMap):
 
     __slots__ = ("slope",)
 
-    def __init__(self, slope: Timelike) -> None:
+    def __init__(self, slope: Coercible) -> None:
         s = ExactNumber.coerce(slope)
         if s.sign() <= 0:
             raise NonPositiveSlope(f"slope must be positive, got {s}")
         self.slope = s
 
-    def eval(self, t: Timelike) -> ExactNumber:
+    def eval(self, t: Coercible) -> ExactNumber:
         e = ExactNumber.coerce(t)
         if e.sign() <= 0:
             raise NonPositiveTime(f"time must be positive, got {e}")
         return self.slope * e
 
-    def inverse_eval(self, y: Timelike) -> ExactNumber:
+    def inverse_eval(self, y: Coercible) -> ExactNumber:
         e = ExactNumber.coerce(y)
         if e.sign() <= 0:
             raise OutsideImage(f"{e} is outside the image (0, oo)")
         return e / self.slope
 
-    def level_times(self, shift: int, until: Optional[Timelike] = None) -> LevelTimes:
+    def level_times(self, shift: int, until: Optional[Coercible] = None) -> LevelTimes:
         rate = self.slope + shift
         step = rate.reciprocal()
         a, b, d, c = step.a, step.b, step.d, step.c
@@ -130,8 +130,8 @@ class PiecewiseMap(MonotoneMap):
 
     def __init__(
         self,
-        anchor_values: Sequence[Timelike],
-        saturation_limit: Optional[Timelike] = None,
+        anchor_values: Sequence[Coercible],
+        saturation_limit: Optional[Coercible] = None,
     ) -> None:
         vals = tuple(_fraction(v, "anchor value") for v in anchor_values)
         if not vals:
@@ -170,22 +170,15 @@ class PiecewiseMap(MonotoneMap):
         u, v, x, y = self._tail
         return u * j + v, x * j + y
 
-    def anchor(self, j: int) -> Fraction:
-        """Value at integer grid point j >= 0 (the t=0 anchor is the limit 0)."""
-        if j < 0:
-            raise NonPositiveTime(f"grid point must be >= 0, got {j}")
-        return Fraction(*self._pair(j))
-
-    def eval(self, t: Timelike) -> ExactNumber:
+    def eval(self, t: Coercible) -> ExactNumber:
         x = _fraction(t, "evaluation point")
         if x <= 0:
             raise NonPositiveTime(f"time must be positive, got {x}")
         j = max(1, math.ceil(x))
-        lo = self.anchor(j - 1)
-        hi = self.anchor(j)
+        lo, hi = Fraction(*self._pair(j - 1)), Fraction(*self._pair(j))
         return ExactNumber.from_fraction(lo + (x - (j - 1)) * (hi - lo))
 
-    def inverse_eval(self, y: Timelike) -> ExactNumber:
+    def inverse_eval(self, y: Coercible) -> ExactNumber:
         w = _fraction(y, "image point")
         if w <= 0:
             raise OutsideImage(f"{w} is outside the image: not positive")
@@ -199,12 +192,11 @@ class PiecewiseMap(MonotoneMap):
             j = math.ceil((w * y - v) / (u - w * x))
         else:
             j = bisect_left(self.values, w) + 1
-        lo = self.anchor(j - 1)
-        hi = self.anchor(j)
+        lo, hi = Fraction(*self._pair(j - 1)), Fraction(*self._pair(j))
         t = (j - 1) + (w - lo) / (hi - lo)
         return ExactNumber.from_fraction(t)
 
-    def level_times(self, shift: int, until: Optional[Timelike] = None) -> LevelTimes:
+    def level_times(self, shift: int, until: Optional[Coercible] = None) -> LevelTimes:
         # On the piece [j-1, j], phi(t) + shift*t runs linearly from lo = ln/ld
         # to hi = hn/hd, width w/(ld*hd), and passes each integer k in (lo, hi]
         # once, at t = (j-1) + (k - lo)*ld*hd/w = ((j-1)*w + (k*ld - ln)*hd)/w.
@@ -255,8 +247,9 @@ def lattice_avoidance(phi: MonotoneMap, N: int) -> Avoidance:
         q = phi.slope.c
         return Avoidance(N, q) if phi.slope.is_rational and q <= N else Avoidance(N)
     for n in range(1, N + 1):
-        # At an integer n, phi(n) is the anchor.
-        if phi.anchor(n).denominator == 1:
+        # At an integer n, phi(n) is the anchor p/q; q > 0, so it is an integer iff q divides p.
+        p, q = phi._pair(n)
+        if p % q == 0:
             return Avoidance(N, n)
     return Avoidance(N)
 
@@ -331,7 +324,7 @@ def induced_inverse(phi: MonotoneMap, K: int) -> NumberSequence:
     return NumberSequence(g, Tail.infinite() if len(g) < K else Tail.unknown())
 
 
-def beatty_pair(lam: Timelike, K: int) -> tuple[IntSet, IntSet]:
+def beatty_pair(lam: Coercible, K: int) -> tuple[IntSet, IntSet]:
     """Window [1, K] of {floor((1+lam)n)} and {floor((1+1/lam)n)}.
 
     No irrationality condition is imposed: rational slopes are legal and

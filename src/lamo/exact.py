@@ -150,16 +150,8 @@ class ExactNumber:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def rational(cls, p: int, r: int = 1) -> ExactNumber:
-        return cls(p, 0, 0, r)
-
-    @classmethod
     def from_fraction(cls, q: Fraction) -> ExactNumber:
         return cls(q.numerator, 0, 0, q.denominator)
-
-    @classmethod
-    def sqrt(cls, d: int) -> ExactNumber:
-        return cls(0, 1, d, 1)
 
     @staticmethod
     def _coerce(x: object) -> ExactNumber | None:

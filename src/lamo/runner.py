@@ -43,8 +43,8 @@ from operator import eq, itemgetter, not_
 from typing import Iterable, NamedTuple
 
 from .errors import CollisionPresent, NonPositiveTime
-from .exact import ExactNumber
-from .continuous import MonotoneMap, Timelike
+from .exact import Coercible, ExactNumber
+from .continuous import MonotoneMap
 from .sequences import IntSet
 
 Y_CROSSING = "y_crosses_origin"
@@ -76,7 +76,7 @@ def _keyed(walk: Iterable[tuple[int, ExactNumber]], kind: str) -> Iterable[tuple
     return zip(map(ExactNumber.floor, times, repeat(_SCALE)), times, repeat(kind))
 
 
-def simulate(phi: MonotoneMap, T: Timelike) -> EventLog:
+def simulate(phi: MonotoneMap, T: Coercible) -> EventLog:
     """Exact event log of both crossings and all meetings up to time T."""
     horizon = ExactNumber.coerce(T)
     if horizon.sign() <= 0:

@@ -37,7 +37,7 @@ from oracles import decimal_floor, meeting_count, wythoff_pair
 
 SEED = 20260814
 
-ROOT2 = ExactNumber.sqrt(2)
+ROOT2 = ExactNumber(0, 1, 2)
 GOLDEN_SLOPE = ExactNumber(-1, 1, 5, 2)
 
 

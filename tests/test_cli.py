@@ -319,6 +319,13 @@ class TestCheck:
         assert obj["ok"] is False
         assert obj["grid"]["witness"] == {"m": 1, "n": 1, "kind": "neither"}
 
+    def test_stdin_named_twice_exits_2_unread(self, capsys, monkeypatch):
+        stdin = io.StringIO("1\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "check", "-", "-", "1", "1", "2")
+        assert (code, out) == (2, "") and err.startswith("lamo: ParseError: ")
+        assert len(err.splitlines()) == 1 and stdin.tell() == 0
+
 
 class TestBeatty:
     def test_golden_partition(self, capsys):
@@ -724,6 +731,17 @@ def test_error_table(tmp_path, capsys, monkeypatch, error):
     expected = {"HorizonExceeded": 3, "EmptyWindow": 3, "CollisionPresent": 4}
     assert code == expected.get(error.__name__, 2)
     assert out == "" and err == f"lamo: {error.__name__}: boom\n"
+
+
+@pytest.mark.parametrize("step", ["_cmd_invert", "_render"])
+def test_memory_error_exits_2_in_one_line(tmp_path, capsys, monkeypatch, step):
+    def fail(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, step, fail)
+    code, out, err = run(capsys, "invert", write(tmp_path, "f.txt", BOUNDED), "--limit", "10")
+    assert (code, out) == (2, "")
+    assert err == "lamo: MemoryError: the answer does not fit in memory\n"
 
 
 def test_import_loads_only_what_every_invocation_uses():

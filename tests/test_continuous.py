@@ -34,6 +34,7 @@ from lamo.exact import ExactNumber
 
 from gen import random_rational_map, random_sequence
 from oracles import (
+    fraction_anchor,
     generic_corollary_sets,
     meeting_count,
     pointwise_induced_inverse,
@@ -42,7 +43,7 @@ from oracles import (
 )
 
 GOLDEN = ExactNumber(-1, 1, 5, 2)
-SQRT2 = ExactNumber.sqrt(2)
+SQRT2 = ExactNumber(0, 1, 2)
 SAT3 = construct_phi(NumberSequence((1, 1, 2), Tail.constant(2)))
 
 @st.composite
@@ -112,6 +113,16 @@ class TestEval:
     def test_extend_tail(self):
         phi = PiecewiseMap([Fraction(3, 2), Fraction(14, 3), Fraction(39, 4)])
         assert phi.eval(5) == Fraction(39, 4) + 2 * (Fraction(39, 4) - Fraction(14, 3))
+
+    @given(st.lists(gaps, min_size=1, max_size=6), st.one_of(st.none(), gaps))
+    @settings(max_examples=200)
+    def test_integer_anchors_match_the_fraction_rule(self, steps, past):
+        # An extending map when past is None, else one saturating past the last anchor.
+        anchors = list(itertools.accumulate(steps))
+        phi = PiecewiseMap(anchors, None if past is None else anchors[-1] + past)
+        for j in range(3 * len(anchors) + 3):
+            p, q = phi._pair(j)
+            assert q > 0 and Fraction(p, q) == fraction_anchor(phi, j)
 
 
 class TestInverseEval:
@@ -234,7 +245,7 @@ class TestCorollarySets:
         assert (list(s_y.elements), list(s_x.elements)) == generic_corollary_sets(phi, K)
 
     def test_square_factor_slope_gives_same_sets(self):
-        assert corollary_sets(LinearMap(ExactNumber.sqrt(8)), 500) == corollary_sets(
+        assert corollary_sets(LinearMap(ExactNumber(0, 1, 8)), 500) == corollary_sets(
             LinearMap(ExactNumber(0, 2, 2)), 500
         )
 
@@ -365,7 +376,7 @@ class TestBeatty:
             LinearMap(0)
 
     @pytest.mark.parametrize(
-        "lam", [GOLDEN, ExactNumber.sqrt(8), ExactNumber(2, 0, 0, 3), ExactNumber(1, 2, 7, 3)]
+        "lam", [GOLDEN, ExactNumber(0, 1, 8), ExactNumber(2, 0, 0, 3), ExactNumber(1, 2, 7, 3)]
     )
     def test_constructions_do_not_grow_with_K(self, lam, monkeypatch):
         # The pair is read off integer floors: no ExactNumber per term.

@@ -480,7 +480,7 @@ class TestMapForms:
 
 class TestEventExport:
     def test_jsonl_shape(self):
-        log = simulate(LinearMap(ExactNumber.sqrt(2)), 3)
+        log = simulate(LinearMap(ExactNumber(0, 1, 2)), 3)
         lines = events_to_jsonl(log).splitlines()
         assert len(lines) == len(log.events)
         first = json.loads(lines[0])
@@ -491,7 +491,7 @@ class TestEventExport:
             assert ExactNumber.parse(json.loads(line)["t"]) == e.time
 
     def test_empty_log_renders_empty(self):
-        log = simulate(LinearMap(ExactNumber.sqrt(2)), Fraction(1, 3))
+        log = simulate(LinearMap(ExactNumber(0, 1, 2)), Fraction(1, 3))
         assert events_to_jsonl(log) == ""
 
 

@@ -38,7 +38,7 @@ from oracles import (
 )
 
 GOLDEN = ExactNumber(-1, 1, 5, 2)
-SQRT2 = ExactNumber.sqrt(2)
+SQRT2 = ExactNumber(0, 1, 2)
 SAT3 = construct_phi(NumberSequence((1, 1, 2), Tail.constant(2)))
 
 map_seeds = st.integers(0, 2**32)
@@ -134,8 +134,8 @@ class TestLevelTimes:
 
     @given(rational_maps, st.sampled_from((0, 1)),
            st.one_of(st.integers(1, 30), horizons, irrational_horizons))
-    @example(SAT3, 0, ExactNumber.sqrt(50))
-    @example(SAT3, 1, ExactNumber.sqrt(50))
+    @example(SAT3, 0, ExactNumber(0, 1, 50))
+    @example(SAT3, 1, ExactNumber(0, 1, 50))
     @example(PiecewiseMap([1], saturation_limit=1000), 0, 2100)
     @example(PiecewiseMap([1], saturation_limit=1000), 1, 2100)
     @settings(max_examples=150, deadline=None)
@@ -159,7 +159,7 @@ class TestLevelTimes:
 
     @pytest.mark.parametrize("phi", [SAT3, random_rational_map(random.Random(7))])
     def test_piecewise_irrational_horizon(self, phi):
-        T = ExactNumber.sqrt(50)
+        T = ExactNumber(0, 1, 50)
         assert list(phi.level_times(1, T)) == oracle_meetings(phi, T)
         assert list(phi.level_times(0, T)) == oracle_crossings(phi, T)
 
