@@ -19,7 +19,7 @@ from typing import IO, Any, Callable, Iterator, Optional
 
 from . import continuous, formats, runner, sequences
 from .errors import CollisionPresent, EmptyWindow, HorizonExceeded, LamoError, ParseError
-from .exact import ExactNumber
+from .exact import ExactNumber, literals
 from .formats import integer
 from .sequences import INF, IntSet, NumberSequence
 
@@ -172,13 +172,13 @@ def _cmd_construct_phi(args: argparse.Namespace) -> tuple[int, Report]:
 def _cmd_simulate(args: argparse.Namespace) -> tuple[int, Report]:
     text = args.map if args.map.lstrip().startswith("{") else _read_input(args.map)
     phi = formats.parse_map(text)
-    log = runner.simulate(phi, ExactNumber.parse(args.T))
+    log = runner.event_columns(phi, ExactNumber.parse(args.T), literals)
     try:
         s_x, s_y = runner.recorded_sets(log)
     except CollisionPresent:
-        t = log.collisions()[0].time
+        t = log.times[log.kinds.index(runner.COLLISION)]
         code = EXIT_COLLISION
-        summary = lambda: {"collision_at": t.literal()}
+        summary = lambda: {"collision_at": t}
         note = lambda: f"collision at t={t}\n"
     else:
         h = s_x.horizon

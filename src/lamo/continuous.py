@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import count, islice, starmap, takewhile
+from itertools import chain, count, islice, repeat, starmap, takewhile
 from operator import add, floordiv
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -76,8 +76,16 @@ class MonotoneMap:
         lazily; with until None the stream has no bound and may be endless.
 
         Shift 0 gives the origin crossings of phi, ending where a bounded
-        open image ends; shift 1 gives the meetings of phi(t) and t.
+        open image ends; shift 1 gives the meetings of phi(t) and t.  The
+        times are those of `level_fields`, one `ExactNumber` each.
         """
+        runs = self.level_fields(shift, until)
+        return enumerate(chain.from_iterable(
+            map(ExactNumber._new, A, B, repeat(d), C) for A, B, d, C in runs), 1)
+
+    def level_fields(self, shift: int, until: Optional[Coercible] = None) -> Iterator[tuple]:
+        """The times of `level_times` in runs (A, B, d, C) of integer fields, not
+        reduced: (A[i] + B[i]*sqrt(d))/C[i]; a run is endless only where it is."""
         raise NotImplementedError
 
 
@@ -104,14 +112,13 @@ class LinearMap(MonotoneMap):
             raise OutsideImage(f"{e} is outside the image (0, oo)")
         return e / self.slope
 
-    def level_times(self, shift: int, until: Optional[Coercible] = None) -> LevelTimes:
+    def level_fields(self, shift: int, until: Optional[Coercible] = None) -> Iterator[tuple]:
+        # One run: t_k = k*step.  k/rate <= until iff k <= floor(rate*until).
         rate = self.slope + shift
         step = rate.reciprocal()
         a, b, d, c = step.a, step.b, step.d, step.c
-        # k/rate <= until iff k <= floor(rate*until), so one floor bounds the stream.
-        ks = count(1) if until is None else range(1, (rate * ExactNumber.coerce(until)).floor() + 1)
-        for k in ks:
-            yield k, ExactNumber._new(a * k, b * k, d, c)
+        n = None if until is None else max(0, (rate * ExactNumber.coerce(until)).floor())
+        yield islice(count(a, a), n), islice(count(b, b), n), d, islice(repeat(c), n)
 
     def __repr__(self) -> str:
         return f"LinearMap({self.slope!r})"
@@ -196,10 +203,11 @@ class PiecewiseMap(MonotoneMap):
         t = (j - 1) + (w - lo) / (hi - lo)
         return ExactNumber.from_fraction(t)
 
-    def level_times(self, shift: int, until: Optional[Coercible] = None) -> LevelTimes:
+    def level_fields(self, shift: int, until: Optional[Coercible] = None) -> Iterator[tuple]:
         # On the piece [j-1, j], phi(t) + shift*t runs linearly from lo = ln/ld
         # to hi = hn/hd, width w/(ld*hd), and passes each integer k in (lo, hi]
-        # once, at t = (j-1) + (k - lo)*ld*hd/w = ((j-1)*w + (k*ld - ln)*hd)/w.
+        # once, at t = (j-1) + (k - lo)*ld*hd/w = ((j-1)*w + (k*ld - ln)*hd)/w:
+        # one run per piece, its numerators a range of step ld*hd over w.
         end = None if until is None else ExactNumber.coerce(until)
         last = math.inf if end is None else end.floor() + 1  # the piece holding `until`
         # The crossings of a bounded image end at its limit u/x; x = 0 for an unbounded one.
@@ -214,8 +222,9 @@ class PiecewiseMap(MonotoneMap):
             w = hn * ld - ln * hd
             # On the last piece, floor(lo + (end - (j-1))*w/(ld*hd)).
             top = hn // hd if j < last else (ln * hd - (j - 1) * w + end.floor(w)) // (ld * hd)
-            for k in range(first, top + 1):
-                yield k, ExactNumber._new((j - 1) * w + (k * ld - ln) * hd, 0, 0, w)
+            m, step = max(0, top + 1 - first), ld * hd
+            base = (j - 1) * w + first * step - ln * hd
+            yield range(base, base + m * step, step), repeat(0, m), 0, repeat(w, m)
             ln, ld = hn, hd
 
     def __repr__(self) -> str:
@@ -270,10 +279,12 @@ def corollary_sets(phi: MonotoneMap, K: int) -> tuple[IntSet, IntSet]:
         s_y = (lam + 1).multiple_floors(K)
         s_x = (lam.reciprocal() + 1).multiple_floors(K)
     else:
-        # phi(n) is the anchor p/q at n, and floor(t + n) = floor(t) + n.
+        # phi(n) is the anchor p/q at n, a crossing time is p/w, and
+        # floor(t + n) = floor(t) + n.
         floors = starmap(floordiv, map(phi._pair, count(1)))
         s_y = list(takewhile(K.__ge__, map(add, floors, count(1))))
-        s_x = list(takewhile(K.__ge__, (t.floor() + n for n, t in phi.level_times(0, K))))
+        floors = chain.from_iterable(map(floordiv, p, w) for p, _, _, w in phi.level_fields(0, K))
+        s_x = list(takewhile(K.__ge__, map(add, floors, count(1))))
     return IntSet(tuple(s_y), K), IntSet(tuple(s_x), K)
 
 

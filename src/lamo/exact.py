@@ -46,7 +46,9 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 from functools import total_ordering
-from typing import Union
+from itertools import repeat
+from operator import eq, floordiv, getitem, mod
+from typing import Sequence, Union
 
 from .errors import IncompatibleRadicands, ParseError, ZeroDenominator
 
@@ -78,6 +80,36 @@ _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
 _RADICAL_RE = re.compile(
     r"(\()?(?:([+-]?[0-9]+)(?=[+-]))?([+-]?)(?:([0-9]+)\*)?sqrt\(([0-9]+)\)(?(1)\))(?:/([+-]?[0-9]+))?"
 )
+
+
+def _literal_templates(a: int, b: int, d: int) -> tuple[str, str]:
+    """The `%` templates that write the literal of (a + b*sqrt(d))/c, in lowest
+    terms, for c > 1 and for c = 1: from (a, c) for a rational (b = 0), and
+    from (a, b, c) otherwise.  A "%.0s" takes its argument and writes nothing."""
+    if not b:
+        return "%d/%d", "%d%.0s"
+    if a:
+        body = f"(%d%+d*sqrt({d}))"
+    elif b in (1, -1):
+        body = f"%.0s{'-' if b < 0 else ''}%.0ssqrt({d})"
+    else:
+        body = f"%.0s%d*sqrt({d})"
+    return body + "/%d", body + "%.0s"
+
+
+def literals(A: Sequence[int], B: Sequence[int], d: int, C: Sequence[int]) -> list[str]:
+    """The literal of each (A[i] + B[i]*sqrt(d))/C[i], C[i] >= 1, where A[i]
+    and B[i] are each zero for every i or for none, as along one stream of
+    level times: after the gcd, all but pure surds share one template pair."""
+    a, b = (A[0], B[0]) if A else (0, 0)
+    fields = [A, B, C] if b else [A, C]
+    G = list(map(math.gcd, *fields))
+    fields = [list(map(floordiv, X, G)) for X in fields]
+    if b and not a:  # a pure surd, whose template turns on B[i] = +-1 too
+        pairs = map(_literal_templates, fields[0], fields[1], repeat(d))
+    else:
+        pairs = repeat(_literal_templates(a, b, d))
+    return list(map(mod, map(getitem, pairs, map(eq, fields[-1], repeat(1))), zip(*fields)))
 
 
 @total_ordering
@@ -338,16 +370,8 @@ class ExactNumber:
 
     def literal(self) -> str:
         """Canonical literal, parseable by :meth:`parse`."""
-        a, b, c, d = self._a, self._b, self._c, self._d
-        if b == 0:
-            return str(a) if c == 1 else f"{a}/{c}"
-        if a:
-            body = f"({a}{'+' if b > 0 else '-'}{abs(b)}*sqrt({d}))"
-        elif b == 1 or b == -1:
-            body = f"{'-' if b < 0 else ''}sqrt({d})"
-        else:
-            body = f"{b}*sqrt({d})"
-        return body if c == 1 else f"{body}/{c}"
+        a, b, c = self._a, self._b, self._c
+        return _literal_templates(a, b, self._d)[c == 1] % ((a, b, c) if b else (a, c))
 
     @classmethod
     def parse(cls, text: str) -> ExactNumber:

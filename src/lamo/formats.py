@@ -22,13 +22,14 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import chain
 from operator import countOf
 from typing import Any, Callable, Optional, Union
 
 from .continuous import LinearMap, MonotoneMap, PiecewiseMap
 from .errors import HorizonExceeded, NotNonDecreasing, NotPositive, NotSorted, ParseError
 from .exact import ExactNumber
-from .runner import EventLog
+from .runner import EventColumns, EventLog
 from .sequences import INF, IntSet, NumberSequence, Tail, sequence_fault
 
 
@@ -340,17 +341,16 @@ def parse_map(text: str) -> MonotoneMap:
 # -- event logs -----------------------------------------------------------
 
 
-def events_to_jsonl(log: EventLog) -> str:
-    # The line `json.dumps` writes for each event: a time literal and an event
-    # kind hold no character that JSON escapes.
-    lines = [
-        f'{{"t": "{e.time.literal()}", "kind": "{e.kind}", "count": {e.count}}}'
-        for e in log.events
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+def events_to_jsonl(log: Union[EventLog, EventColumns]) -> str:
+    # The line `json.dumps` writes for each event, in one `%` pass, which
+    # writes an `ExactNumber` time as its literal: a time literal and an
+    # event kind hold no character that JSON escapes.
+    kinds = log.kinds
+    rows = chain.from_iterable(zip(log.times, kinds, log.counts))
+    return '{"t": "%s", "kind": "%s", "count": %d}\n' * len(kinds) % tuple(rows)
 
 
-def events_to_json(log: EventLog, summary: dict[str, Any]) -> str:
+def events_to_json(log: Union[EventLog, EventColumns], summary: dict[str, Any]) -> str:
     """`json.dumps({"events": [...], **summary})` for a non-empty summary:
     the JSONL lines, joined by ", "."""
     events = events_to_jsonl(log)[:-1].replace("\n", ", ")

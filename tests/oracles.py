@@ -4,13 +4,13 @@ Everything here deliberately shares no algorithm with the package under
 test, and imports from it only three error classes: `OutsideImage`, which
 marks a point outside a map's image, `ParseError` and `CollisionPresent`.
 Still, `bisect_meeting_time`, `meeting_count`, `scan_lattice_avoidance`,
-`generic_corollary_sets`, `pointwise_induced_inverse`, `merge_events` and
-`merged_groups` take a map and call its own `eval`, `inverse_eval` or
-`level_times`, and work with the `ExactNumber` values it returns.  The
-decimal oracles go through the stdlib `decimal` module at high precision;
-they are advisory: where they and the exact route disagree, the exact
-route is authoritative, and the tests treat any disagreement as a failure
-to be investigated rather than auto-resolved.
+`generic_corollary_sets`, `pointwise_induced_inverse`, `merge_events`,
+`merged_groups` and `per_event_simulate` take a map and call its own
+`eval`, `inverse_eval` or `level_times`, and work with the `ExactNumber`
+values it returns.  The decimal oracles go through the stdlib `decimal`
+module at high precision; they are advisory: where they and the exact
+route disagree, the exact route is authoritative, and the tests treat any
+disagreement as a failure to be investigated rather than auto-resolved.
 `bisect_floor` uses integers only and is exact for every input.
 `bisect_meeting_time` is the simulator's former meeting solver, kept as
 the slow path that the closed-form `level_times` streams are checked
@@ -52,11 +52,15 @@ the map's stored `values` and `limit`; the integer walk of
 or `is inf` test, which the one-pass `%` writers are checked against.
 `four_pass_recorded_sets` is the recorded sets as one Python pass over the
 events for the collisions, one for each set and one for the horizon.
+`per_event_simulate` and `per_event_jsonl` are the simulator's per-event
+path that the integer columns replaced: an exact value, a `floor` and a
+row per time, and one `literal()` per line.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import re
 from bisect import bisect_left, bisect_right
@@ -402,6 +406,48 @@ def grouped_merge_events(phi, T) -> list[tuple]:
             meetings += 1
         events.append((t, kinds[0] if len(kinds) == 1 else "collision", meetings))
     return events
+
+
+def per_event_simulate(phi, T) -> list[tuple]:
+    """(time, kind, count) of each event up to the exact time T > 0, by the
+    simulator's former per-event path.
+
+    Each time is an exact value: the X and meeting times from the map's
+    `level_times`, one per time, and the Y crossings as values of T's own
+    type.  Each is keyed (floor(t*2^16), t, kind) with one `floor` per time,
+    one sort merges the keys, neighbours with equal prefixes have their
+    times compared exactly, and each time of the log is one row, at the
+    last item of its time: a collision where streams share it.
+    """
+    scale = 2**16
+    n = bisect_floor(T.a, T.b, T.d, T.c)
+
+    def keyed(walk, kind):
+        times = [t for _, t in walk]
+        return zip([t.floor(scale) for t in times], times, itertools.repeat(kind))
+
+    items = [
+        *zip(range(scale, (n + 1) * scale, scale), map(type(T), range(1, n + 1)),
+             itertools.repeat("y_crosses_origin")),
+        *keyed(phi.level_times(0, T), "x_crosses_origin"),
+        *keyed(phi.level_times(1, T), "meeting"),
+    ]
+    items.sort()
+    events, meetings = [], 0
+    for i, (key, t, kind) in enumerate(items):
+        meetings += kind == "meeting"
+        if i > 0 and items[i - 1][0] == key and items[i - 1][1] == t:
+            kind = "collision"
+        if i + 1 < len(items) and items[i + 1][0] == key and items[i + 1][1] == t:
+            continue
+        events.append((t, kind, meetings))
+    return events
+
+
+def per_event_jsonl(events) -> str:
+    """The JSONL lines of (time, kind, count) rows, one `literal()` each."""
+    return "".join(f'{{"t": "{t.literal()}", "kind": "{kind}", "count": {count}}}\n'
+                   for t, kind, count in events)
 
 
 def event_to_json(time, kind: str, count: int) -> dict:

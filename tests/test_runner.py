@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -20,10 +23,11 @@ from lamo import (
     recorded_sets,
     simulate,
 )
-from lamo import continuous, runner
+from lamo import cli, continuous, runner
 from lamo.continuous import PiecewiseMap
 from lamo.errors import NonPositiveTime, OutsideImage
 from lamo.exact import ExactNumber
+from lamo.formats import events_to_jsonl, map_to_json
 from lamo.runner import COLLISION, MEETING, X_CROSSING, Y_CROSSING, Event, EventLog
 
 from gen import random_rational_map, random_sequence
@@ -35,6 +39,8 @@ from oracles import (
     meeting_count,
     merge_events,
     merged_groups,
+    per_event_jsonl,
+    per_event_simulate,
 )
 
 GOLDEN = ExactNumber(-1, 1, 5, 2)
@@ -450,3 +456,66 @@ class TestRecordedSetsOracle:
     def test_a_collision_is_named_once_found(self):
         log = simulate(LinearMap(Fraction(3, 2)), 6)
         assert read_sets(passes, log) == "meeting at the origin at t=2; recorded sets are void"
+
+
+def cli_output(*argv):
+    """What `lamo` writes to stdout for argv."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(list(argv))
+    return out.getvalue()
+
+
+# Slopes sqrt(d)/2^32 near 1, with a radicand past 2^64.
+big_radicands = st.builds(
+    lambda d, b: ExactNumber(0, b, d, 2**32), st.integers(2**64, 2**66), st.integers(1, 3)
+).filter(lambda x: not x.is_rational)
+# The slopes of `test_near_ties_at_one_and_two`: below the slope 1, three
+# items share a key at t = 1 and at t = 2.
+near_ties = st.sampled_from([
+    ExactNumber(0, 1, 10 ** (2 * e) + delta, 10**e) for e in (10, 4) for delta in (-1, 1)
+])
+
+
+@st.composite
+def per_event_cases(draw):
+    """(phi, T): the cases of `simulated_cases`, slopes with a radicand past
+    2^64, and the near ties at one and two."""
+    return draw(st.one_of(
+        simulated_cases(),
+        st.tuples(big_radicands.map(LinearMap), exact_horizons),
+        st.tuples(near_ties.map(LinearMap), st.just(ExactNumber(3))),
+    ))
+
+
+class TestPerEventOracle:
+    """The event columns against the per-event path they replaced, byte for
+    byte: the library's log and JSONL, and `lamo simulate` in text and JSON."""
+
+    @given(per_event_cases())
+    @example((LinearMap(GOLDEN + 1), ExactNumber(2)))  # the meeting step (3-sqrt(5))/2
+    @example((LinearMap(SQRT2), ExactNumber(10)))  # X crossings sqrt(2)/2, a pure surd
+    @example((LinearMap(Fraction(3, 2)), ExactNumber(6)))  # collisions at 2, 4 and 6
+    @example((LinearMap(ExactNumber(0, 1, 10**8 - 1, 10**4)), ExactNumber(3)))
+    # Steps of about 5*10^-6, below 2^-16: runs of X crossings share a key.
+    @example((LinearMap(ExactNumber(200000, 1, 3)), ExactNumber.from_fraction(Fraction(1, 500))))
+    @settings(max_examples=150, deadline=None)
+    def test_same_bytes(self, case):
+        phi, T = case
+        events = per_event_simulate(phi, T)
+        lines = per_event_jsonl(events)
+        assert logged(phi, T) == events
+        assert events_to_jsonl(simulate(phi, T)) == lines
+        argv = ("simulate", json.dumps(map_to_json(phi)), T.literal())
+        text = cli_output(*argv)
+        assert text.startswith(lines) and not text[len(lines):].startswith('{"t"')
+        out = cli_output(*argv, "--format", "json")
+        summary = json.loads(out)
+        del summary["events"]
+        events_json = lines[:-1].replace("\n", ", ")
+        assert out == f'{{"events": [{events_json}], {json.dumps(summary)[1:]}\n'
+
+    def test_a_run_of_three_shares_a_key(self):
+        phi, T = LinearMap(ExactNumber(0, 1, 10**8 - 1, 10**4)), ExactNumber(3)
+        keys = [t.floor(runner._SCALE) for t, _, _ in per_event_simulate(phi, T)]
+        assert max(map(keys.count, keys)) >= 3
