@@ -21,17 +21,16 @@ A linear map takes integer-only routes.  Its pair is Beatty's,
 avoidance is decided in closed form, since lambda*n is an integer only for
 a rational lambda = p/q in lowest terms and then first at n = q.  A
 piecewise map reads S_Y off its anchors, phi(n) + n = anchor(n) + n, and
-S_X off its crossing times.  It keeps each anchor as an integer pair
-(p, q) with anchor = p/q, stored up to the last given anchor and given by
-one formula past it, so S_Y and the level times take integer arithmetic
-only: no Fraction per piece and none per time.
+S_X off its crossing times.  It keeps each anchor, and its limit, as an
+integer pair (p, q) in lowest terms, stored up to the last given anchor and
+given by one formula past it, so every query takes integer arithmetic only;
+a Fraction is built only where `values` and `limit` hand one out.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from fractions import Fraction
 from itertools import chain, count, islice, repeat, starmap, takewhile
 from operator import add, floordiv
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -58,14 +57,17 @@ from .sequences import (
 LevelTimes = Iterator[tuple[int, ExactNumber]]
 
 
-def _fraction(x: Coercible, what: str) -> Fraction:
-    """x as a Fraction; UnsupportedPoint when it is irrational."""
-    if isinstance(x, Fraction):
-        return x
+def _ratio(x: Coercible, what: str) -> tuple[int, int]:
+    """(p, q) with x = p/q in lowest terms, q >= 1; UnsupportedPoint if x is irrational."""
     e = ExactNumber.coerce(x)
-    if not e.is_rational:
+    if e.b:
         raise UnsupportedPoint(f"{what} must be rational for a piecewise map, got {e}")
-    return e.as_fraction()
+    return e.a, e.c
+
+
+def _text(p: int, q: int) -> str:
+    """p/q in lowest terms, written as str(Fraction(p, q)) is."""
+    return f"{p}/{q}" if q != 1 else str(p)
 
 
 class MonotoneMap:
@@ -133,42 +135,50 @@ class PiecewiseMap(MonotoneMap):
     stored anchor continuously, giving the open image (0, limit).
     """
 
-    __slots__ = ("values", "limit", "_pairs", "_tail")
+    __slots__ = ("_pairs", "_limit", "_tail")
 
-    def __init__(
-        self,
-        anchor_values: Sequence[Coercible],
-        saturation_limit: Optional[Coercible] = None,
-    ) -> None:
-        vals = tuple(_fraction(v, "anchor value") for v in anchor_values)
-        if not vals:
+    def __init__(self, anchor_values: Sequence[Coercible],
+                 saturation_limit: Optional[Coercible] = None) -> None:
+        self._setup([_ratio(v, "anchor value") for v in anchor_values], saturation_limit)
+
+    def _setup(self, pairs: list[tuple[int, int]], saturation_limit: Optional[Coercible]) -> PiecewiseMap:
+        """Set up from the anchors p/q as pairs (p, q) in lowest terms, as `construct_phi` writes them."""
+        if not pairs:
             raise EmptyWindow("a piecewise map needs at least one anchor")
-        prev = Fraction(0)
-        for v in vals:
-            if v <= prev:
-                if v <= 0:
-                    raise NotPositive(f"anchor values must be positive, got {v}")
-                raise NotSorted(f"anchor values must be strictly increasing: {v} after {prev}")
-            prev = v
-        self.values = vals
-        self._pairs = ((0, 1), *((v.numerator, v.denominator) for v in vals))
-        n, (a, d) = len(vals), self._pairs[-1]
+        b, e = 0, 1
+        for p, q in pairs:
+            if p * e <= b * q:
+                if p <= 0:
+                    raise NotPositive(f"anchor values must be positive, got {_text(p, q)}")
+                raise NotSorted(f"anchor values must be strictly increasing: {_text(p, q)} "
+                                f"after {_text(b, e)}")
+            b, e = p, q
+        self._pairs = ((0, 1), *pairs)
+        n, (a, d), (b, e) = len(pairs), pairs[-1], self._pairs[-2]
+        self._limit = None if saturation_limit is None else _ratio(saturation_limit, "saturation limit")
         # Past n, anchor(j) = (u*j + v)/(x*j + y) for the ints _tail = (u, v, x, y).
-        if saturation_limit is None:
-            self.limit = None
-            s = vals[-1] - (vals[-2] if n > 1 else 0)
-            u = s.numerator * d  # vals[-1] + s*(j - n), over d*s.denominator
-            self._tail = (u, a * s.denominator - u * n, 0, d * s.denominator)
+        if self._limit is None:
+            u = a * e - b * d  # a/d + s*(j - n) over d*e, for the last slope s = u/(d*e)
+            self._tail = (u, a * e - u * n, 0, d * e)
         else:
-            lim = _fraction(saturation_limit, "saturation limit")
-            if lim <= vals[-1]:
-                raise NotSorted(f"saturation limit {lim} must exceed the last anchor {vals[-1]}")
-            self.limit = lim
-            # lim - scale/(j+1) = (L*(j+1) - S)/(D*(j+1)) over D = d*lim.denominator,
-            # with scale = S/D = (lim - vals[-1])*(n+1) joining anchor n.
-            L, D = lim.numerator * d, lim.denominator * d
-            S = (L - a * lim.denominator) * (n + 1)
-            self._tail = (L, L - S, D, D)
+            ln, lq = self._limit
+            if ln * d <= a * lq:
+                raise NotSorted(f"saturation limit {_text(ln, lq)} must exceed the last anchor {_text(a, d)}")
+            # ln/lq - scale/(j+1) = (L*(j+1) - S)/(D*(j+1)) over D = d*lq, where
+            # S = (L - a*lq)*(n+1) makes scale = S/D = (ln/lq - a/d)*(n+1) join anchor n.
+            L, D = ln * d, lq * d
+            self._tail = (L, L - (L - a * lq) * (n + 1), D, D)
+        return self
+
+    @property
+    def values(self) -> tuple:
+        from fractions import Fraction
+        return tuple(starmap(Fraction, self._pairs[1:]))
+
+    @property
+    def limit(self):
+        from fractions import Fraction
+        return self._limit and Fraction(*self._limit)
 
     def _pair(self, j: int) -> tuple[int, int]:
         """(p, q) with anchor(j) = p/q and q > 0, for j >= 0; not in lowest terms."""
@@ -178,30 +188,33 @@ class PiecewiseMap(MonotoneMap):
         return u * j + v, x * j + y
 
     def eval(self, t: Coercible) -> ExactNumber:
-        x = _fraction(t, "evaluation point")
-        if x <= 0:
-            raise NonPositiveTime(f"time must be positive, got {x}")
-        j = max(1, math.ceil(x))
-        lo, hi = Fraction(*self._pair(j - 1)), Fraction(*self._pair(j))
-        return ExactNumber.from_fraction(lo + (x - (j - 1)) * (hi - lo))
+        p, q = _ratio(t, "evaluation point")
+        if p <= 0:
+            raise NonPositiveTime(f"time must be positive, got {_text(p, q)}")
+        j = max(1, -(-p // q))
+        (ln, ld), (hn, hd) = self._pair(j - 1), self._pair(j)
+        # lo + (t - (j-1))*(hi - lo), for lo = ln/ld and hi = hn/hd, over ld*hd*q.
+        return ExactNumber(ln * hd * q + (p - (j - 1) * q) * (hn * ld - ln * hd), 0, 0, ld * hd * q)
 
     def inverse_eval(self, y: Coercible) -> ExactNumber:
-        w = _fraction(y, "image point")
-        if w <= 0:
-            raise OutsideImage(f"{w} is outside the image: not positive")
-        if self.limit is not None and w >= self.limit:
-            raise OutsideImage(f"{w} is outside the open image (0, {self.limit})")
-        if w > self.values[-1]:
-            # The smallest grid point j with anchor(j) >= w, then the linear
-            # run into it: (u*j + v)/(x*j + y) >= w iff j*(u - w*x) >= w*y - v,
-            # and u - w*x > 0 below the limit u/x; j > n since anchor(n) < w.
+        p, q = _ratio(y, "image point")
+        if p <= 0:
+            raise OutsideImage(f"{_text(p, q)} is outside the image: not positive")
+        if self._limit and p * self._limit[1] >= self._limit[0] * q:
+            raise OutsideImage(f"{_text(p, q)} is outside the open image (0, {_text(*self._limit)})")
+        a, d = self._pairs[-1]
+        if p * d > a * q:
+            # The smallest grid point j with anchor(j) >= w = p/q, then the linear run
+            # into it: (u*j + v)/(x*j + y) >= w iff j*(u*q - p*x) >= p*y - v*q, and
+            # u*q - p*x > 0 below the limit u/x; j > n since anchor(n) < w.
             u, v, x, y = self._tail
-            j = math.ceil((w * y - v) / (u - w * x))
-        else:
-            j = bisect_left(self.values, w) + 1
-        lo, hi = Fraction(*self._pair(j - 1)), Fraction(*self._pair(j))
-        t = (j - 1) + (w - lo) / (hi - lo)
-        return ExactNumber.from_fraction(t)
+            j = -((v * q - p * y) // (u * q - p * x))
+        else:  # the first anchor at least w, by the sign of anchor - w
+            j = bisect_left(self._pairs, 0, key=lambda r: r[0] * q - p * r[1])
+        (ln, ld), (hn, hd) = self._pair(j - 1), self._pair(j)
+        # (j-1) + (w - lo)/(hi - lo), over q*W for the piece's width W/(ld*hd).
+        W = hn * ld - ln * hd
+        return ExactNumber((j - 1) * q * W + (p * ld - ln * q) * hd, 0, 0, q * W)
 
     def level_fields(self, shift: int, until: Optional[Coercible] = None) -> Iterator[tuple]:
         # On the piece [j-1, j], phi(t) + shift*t runs linearly from lo = ln/ld
@@ -303,10 +316,10 @@ def construct_phi(f: NumberSequence) -> PiecewiseMap:
     if f.tail.kind == "infinite":
         raise InfiniteValue("map construction needs all values finite")
 
-    def anchor_at(n: int, value: int) -> Fraction:
-        return Fraction(value + 1) - Fraction(1, n + 1)
+    def anchor_at(n: int, value: int) -> tuple[int, int]:
+        return (value + 1) * (n + 1) - 1, n + 1  # value + 1 - 1/(n+1), in lowest terms
 
-    anchors = [anchor_at(n, int(v)) for n, v in enumerate(f.prefix, start=1)]
+    anchors = [anchor_at(n, v) for n, v in enumerate(f.prefix, start=1)]
 
     if f.tail.kind == "constant":
         v = f.tail.value
@@ -316,11 +329,11 @@ def construct_phi(f: NumberSequence) -> PiecewiseMap:
             # Joining anchor for index N+1; after it the saturating
             # continuation reproduces v + 1 - 1/(n+1) at every later n.
             anchors.append(anchor_at(N + 1, v))
-        return PiecewiseMap(anchors, saturation_limit=v + 1)
+        return object.__new__(PiecewiseMap)._setup(anchors, v + 1)
 
     if not anchors:
         raise EmptyWindow("cannot build a map from an empty prefix with unknown tail")
-    return PiecewiseMap(anchors)
+    return object.__new__(PiecewiseMap)._setup(anchors, None)
 
 
 def induced_inverse(phi: MonotoneMap, K: int) -> NumberSequence:

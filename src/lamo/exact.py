@@ -43,8 +43,8 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from bisect import bisect_right
-from fractions import Fraction
 from functools import total_ordering
 from itertools import repeat
 from operator import eq, floordiv, getitem, mod
@@ -52,7 +52,7 @@ from typing import Sequence, Union
 
 from .errors import IncompatibleRadicands, ParseError, ZeroDenominator
 
-Coercible = Union[int, Fraction, "ExactNumber"]
+Coercible = Union[int, "Fraction", "ExactNumber"]
 
 def _sign(n: int) -> int:
     return (n > 0) - (n < 0)
@@ -192,7 +192,8 @@ class ExactNumber:
             return x
         if type(x) is int:
             return ExactNumber(x)
-        if isinstance(x, Fraction):
+        # A Fraction exists only once `fractions` is loaded, which `coerce` never does.
+        if isinstance(x, getattr(sys.modules.get("fractions"), "Fraction", ())):
             return ExactNumber.from_fraction(x)
         return None
 
@@ -221,6 +222,7 @@ class ExactNumber:
     def as_fraction(self) -> Fraction:
         if self._b != 0:
             raise ValueError(f"{self} is irrational")
+        from fractions import Fraction
         return Fraction(self._a, self._c)
 
     # -- ordering -------------------------------------------------------
@@ -257,6 +259,7 @@ class ExactNumber:
     def __hash__(self) -> int:
         # The rational part a/c, and the sign and square b*b*d/(c*c) of the
         # irrational part, do not depend on how the value is written.
+        from fractions import Fraction
         a, b, c, d = self._a, self._b, self._c, self._d
         if b == 0:
             return hash(Fraction(a, c))

@@ -21,27 +21,26 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from itertools import chain
 from operator import countOf
 from typing import Any, Callable, Optional, Union
 
-from .continuous import LinearMap, MonotoneMap, PiecewiseMap
+from .continuous import LinearMap, MonotoneMap, PiecewiseMap, _text
 from .errors import HorizonExceeded, NotNonDecreasing, NotPositive, NotSorted, ParseError
 from .exact import ExactNumber
 from .runner import EventColumns, EventLog
 from .sequences import INF, IntSet, NumberSequence, Tail, sequence_fault
 
 
-def _rational_literal(text: Union[str, int], what: str) -> Fraction:
+def _rational_literal(text: Union[str, int], what: str) -> ExactNumber:
     if type(text) is int:
-        return Fraction(text)
+        return ExactNumber(text)
     if not isinstance(text, str):
         raise ParseError(f"{what} must be an exact literal string, got {text!r}")
     v = ExactNumber.parse(text)
     if not v.is_rational:
         raise ParseError(f"{what} must be rational, got {text!r}")
-    return v.as_fraction()
+    return v
 
 
 def _json(text: str, what: str = "JSON") -> Any:
@@ -291,11 +290,11 @@ def map_to_json(phi: MonotoneMap) -> dict[str, Any]:
     if isinstance(phi, LinearMap):
         return {"kind": "linear", "lambda": phi.slope.literal()}
     if isinstance(phi, PiecewiseMap):
-        anchors = [[i, str(v)] for i, v in enumerate(phi.values, start=1)]
-        if phi.limit is None:
+        anchors = [[i, _text(*pq)] for i, pq in enumerate(phi._pairs[1:], start=1)]
+        if phi._limit is None:
             tail: dict[str, Any] = {"kind": "extend"}
         else:
-            tail = {"kind": "saturate", "limit": str(phi.limit)}
+            tail = {"kind": "saturate", "limit": _text(*phi._limit)}
         return {"kind": "piecewise", "anchors": anchors, "tail": tail}
     raise TypeError(f"no JSON form for {phi!r}")
 
@@ -313,7 +312,7 @@ def map_from_json(obj: Any) -> MonotoneMap:
         anchors_raw = obj.get("anchors")
         if not isinstance(anchors_raw, list) or not anchors_raw:
             raise ParseError("piecewise map needs a non-empty 'anchors' array")
-        values: list[Fraction] = []
+        values: list[ExactNumber] = []
         for i, entry in enumerate(anchors_raw, start=1):
             if not isinstance(entry, list) or len(entry) != 2:
                 raise ParseError(f"anchor {i}: expected a [t, value] pair")

@@ -149,11 +149,11 @@ class NumberSequence:
         entries = tuple(prefix)
         if not isinstance(tail, Tail):
             raise TypeError("tail must be a Tail")
-        # Each entry of type exactly `int` or INF, in C-level passes: count the
-        # `int` entries, then the INF ones if that falls short.
+        # Each entry of type exactly `int` or INF, in C-level passes: count the `int` entries,
+        # then, if that falls short, INF in the rest, as INF (the largest) ends a valid prefix.
         n = len(entries)
         ints = countOf(map(type, entries), int)
-        if ints < n and ints + countOf(map(is_, entries, repeat(INF)), True) < n:
+        if ints < n and countOf(map(is_, entries[ints:], repeat(INF)), True) < n - ints:
             raise sequence_fault(entries, tail)[1]
         # Then each at least the one before it, from 0 on, so none is negative.
         last: ExtNat = 0

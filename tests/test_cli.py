@@ -748,7 +748,21 @@ def test_import_loads_only_what_every_invocation_uses():
     # -S keeps site's .pth files from importing any of these first.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     probe = ("import lamo.cli, sys; "
-             "print(*[m for m in ('dataclasses', 'inspect', 'csv', 'pathlib') if m in sys.modules])")
+             "print(*[m for m in ('dataclasses', 'inspect', 'csv', 'pathlib', 'fractions', 'decimal', "
+             "'numbers') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out == "\n"
+
+
+def test_fractions_imported_after_lamo_still_coerce_and_hash():
+    # lamo loads no `fractions`, so it must find the class once the caller has loaded it.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import lamo.cli, sys; from lamo.exact import ExactNumber; "
+             "assert 'fractions' not in sys.modules; from fractions import Fraction; "
+             "x = ExactNumber(3, 0, 0, 2); "
+             "assert ExactNumber.coerce(Fraction(3, 2)) == x and x == Fraction(3, 2); "
+             "assert hash(x) == hash(Fraction(3, 2)); print('ok')")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "ok\n"

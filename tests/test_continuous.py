@@ -26,11 +26,13 @@ from lamo.errors import (
     NonPositiveSlope,
     NonPositiveTime,
     NotNonDecreasing,
+    NotPositive,
     NotSorted,
     OutsideImage,
     UnsupportedPoint,
 )
 from lamo.exact import ExactNumber
+from lamo.formats import map_to_json
 
 from gen import random_rational_map, random_sequence
 from oracles import (
@@ -437,3 +439,58 @@ class TestMapValidation:
     def test_irrational_anchor_rejected(self):
         with pytest.raises(UnsupportedPoint, match="anchor value must be rational"):
             PiecewiseMap([SQRT2])
+
+    @pytest.mark.parametrize("anchors, limit, error, message", [
+        ([2, 1], None, NotSorted, "anchor values must be strictly increasing: 1 after 2"),
+        ([Fraction(3, 2)] * 2, None, NotSorted, "anchor values must be strictly increasing: 3/2 after 3/2"),
+        ([ExactNumber(5, 0, 0, 3)] * 2, None, NotSorted,
+         "anchor values must be strictly increasing: 5/3 after 5/3"),
+        ([1, 2], 2, NotSorted, "saturation limit 2 must exceed the last anchor 2"),
+        ([1, 2], Fraction(3, 2), NotSorted, "saturation limit 3/2 must exceed the last anchor 2"),
+        ([2, 1], True, NotSorted, "anchor values must be strictly increasing: 1 after 2"),
+        ([0, 1], None, NotPositive, "anchor values must be positive, got 0"),
+        ([1, Fraction(-3, 4)], None, NotPositive, "anchor values must be positive, got -3/4"),
+        ([SQRT2], None, UnsupportedPoint, "anchor value must be rational for a piecewise map, got sqrt(2)"),
+        ([1], SQRT2, UnsupportedPoint, "saturation limit must be rational for a piecewise map, got sqrt(2)"),
+        ([], SQRT2, EmptyWindow, "a piecewise map needs at least one anchor"),
+    ])
+    def test_bad_anchor_class_and_message(self, anchors, limit, error, message):
+        with pytest.raises(error) as e:
+            PiecewiseMap(anchors, saturation_limit=limit)
+        assert type(e.value) is error and str(e.value) == message
+
+    @pytest.mark.parametrize("point, error, message", [
+        (Fraction(-1, 3), NonPositiveTime, "time must be positive, got -1/3"),
+        (SQRT2, UnsupportedPoint, "evaluation point must be rational for a piecewise map, got sqrt(2)"),
+    ])
+    def test_bad_evaluation_point(self, point, error, message):
+        with pytest.raises(error) as e:
+            PiecewiseMap([Fraction(3, 2), 2], saturation_limit=3).eval(point)
+        assert type(e.value) is error and str(e.value) == message
+
+    @pytest.mark.parametrize("point, message", [
+        (0, "0 is outside the image: not positive"),
+        (3, "3 is outside the open image (0, 3)"),
+        (Fraction(7, 2), "7/2 is outside the open image (0, 3)"),
+    ])
+    def test_outside_image_message(self, point, message):
+        with pytest.raises(OutsideImage) as e:
+            PiecewiseMap([Fraction(3, 2), 2], saturation_limit=3).inverse_eval(point)
+        assert str(e.value) == message
+
+    @given(st.lists(gaps, min_size=1, max_size=6), st.one_of(st.none(), gaps), st.booleans())
+    @settings(max_examples=100)
+    def test_same_map_from_ints_fractions_and_exact_numbers(self, steps, past, whole):
+        # With `whole`, every gap is rounded up, so the ints form holds only ints.
+        steps = [Fraction(math.ceil(g)) for g in steps] if whole else steps
+        anchors = list(itertools.accumulate(steps))
+        limit = None if past is None else anchors[-1] + (math.ceil(past) if whole else past)
+        forms = [lambda v: v, lambda v: ExactNumber(v.numerator, 0, 0, v.denominator),
+                 lambda v: v.numerator if v.denominator == 1 else v]
+        maps = [PiecewiseMap(list(map(form, anchors)), None if limit is None else form(limit))
+                for form in forms]
+        for phi in maps:
+            assert phi._pairs == maps[0]._pairs and repr(phi) == repr(maps[0])
+            assert phi.values == tuple(anchors) and all(type(v) is Fraction for v in phi.values)
+            assert phi.limit == limit and type(phi.limit) is (type(None) if limit is None else Fraction)
+            assert map_to_json(phi) == map_to_json(maps[0])

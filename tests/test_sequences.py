@@ -129,6 +129,11 @@ class TestValidation:
     @example([2, -1], Tail.constant(0))
     @example([1, INF], Tail.constant(3))
     @example([INF, 2], Tail.infinite())
+    @example([INF, 1], Tail.unknown())
+    @example([1, INF, 2], Tail.unknown())
+    @example([1, 2.5, INF], Tail.unknown())
+    @example([1, float("inf")], Tail.unknown())
+    @example([1, INF, INF], Tail.unknown())
     def test_builds_exactly_when_the_oracle_holds(self, entries, tail):
         typed = all(lamo.sequences.is_extnat(v) for v in entries)
         if typed and check_non_decreasing(entries, tail):
