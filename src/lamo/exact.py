@@ -17,9 +17,10 @@ consulted anywhere.
 
 Two routes build no intermediate values.  `compare` takes the sign of the
 numerator of x - y, (a1*c2 - a2*c1) + (b1*c2 - b2*c1)*sqrt(d), straight from
-the fields, with the same sign rule as `sign`.  `floor(scale)` reads the
-floor of scale*x off the scaled fields with one isqrt.  `multiple_floors`
-takes k = floor(n*x) for all n <= N = floor((K+1)/x) in one shift pass.
+the fields, with the same sign rule as `sign`.  `floors` reads floor(scale*x)
+for a column of values off the scaled fields, one isqrt each; `floor(scale)`
+is its one-value call.  `multiple_floors` takes k = floor(n*x) for all
+n <= N = floor((K+1)/x) in one shift pass.
 For u = n*a - (k+1)*c and v = n*b, u*u - v*v*d is a non-zero integer and
 |u - v*sqrt(d)| <= c + 2*n*|b|*sqrt(d), so n*x lies at least
 1/(c*(c + 2*n*|b|*sqrt(d))) below k + 1.  With the smallest m such that
@@ -110,6 +111,17 @@ def literals(A: Sequence[int], B: Sequence[int], d: int, C: Sequence[int]) -> li
     else:
         pairs = repeat(_literal_templates(a, b, d))
     return list(map(mod, map(getitem, pairs, map(eq, fields[-1], repeat(1))), zip(*fields)))
+
+
+def floors(A: Sequence[int], B: Sequence[int], d: int, C: Sequence[int], scale: int = 1) -> list[int]:
+    """floor(scale*(A[i] + B[i]*sqrt(d))/C[i]) for each i, C[i] >= 1, where
+    B[i]*scale keeps one sign s and each B[i]*sqrt(d) is zero or irrational:
+    floor(s*sqrt(y)) is s*isqrt(y) - (s < 0) for a non-square y."""
+    if not (d and B):
+        return list(map(floordiv, map(scale.__mul__, A), C))
+    s = _sign(B[0] * scale)
+    q, e = d * scale * scale, -(s < 0)
+    return [(a * scale + s * math.isqrt(b * b * q) + e) // c for a, b, c in zip(A, B, C)]
 
 
 @total_ordering
@@ -344,12 +356,8 @@ class ExactNumber:
     # -- floor ----------------------------------------------------------
 
     def floor(self, scale: int = 1) -> int:
-        """The unique integer n with n <= scale*x < n+1, for an int scale:
-        the scaled b*sqrt(d) is irrational whenever b != 0, so its floor is
-        isqrt(b*b*d), or -isqrt(b*b*d) - 1 for b < 0."""
-        a, b = self._a * scale, self._b * scale
-        s = math.isqrt(b * b * self._d)
-        return (a + s) // self._c if b >= 0 else (a - s - 1) // self._c
+        """The unique integer n with n <= scale*x < n+1, for an int scale."""
+        return floors((self._a,), (self._b,), self._d, (self._c,), scale)[0]
 
     def multiple_floors(self, K: int) -> list[int]:
         """[floor(x), floor(2x), ..] up to the last value <= K, for x > 0.

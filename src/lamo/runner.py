@@ -9,19 +9,18 @@ for shift 0 and 1, which `MonotoneMap.level_fields` gives in closed form as
 integer columns, time i being (A[i] + B[i]*sqrt(d))/C[i].
 
 `event_columns`, the one core, merges the streams in C-level passes over
-those columns.  Each time is keyed floor(t*2^16), the kernel's floor rule
-in one comprehension per stream; one stable sort by key merges the three
-ascending streams; the counts are the running sums of the meeting flags;
-and each time becomes one event, stamped with the number of meetings up to
-it, a meeting counting itself.  The key is monotone in t, so keys order as
-times do, and only a run of items that share a key, of any length, is
-ordered by building an `ExactNumber` per item; equal times there mark a
-time shared by streams.  The event times are written per stream as the
-caller asks: literals for `lamo simulate`, an `ExactNumber` each only for
-the library's `simulate`.  The keys are the runner's own floor per time,
-not the shift pass of `ExactNumber.multiple_floors`, which yields the map
-route's Beatty sets that the simulator is there to check; at 2^16 the
-`isqrt` of a time with small fields stays below 2^64, in one word.
+those columns.  Each time is keyed floor(t*2^16) by `exact.floors`, one call
+per stream; one stable sort by key merges the three ascending streams; the
+counts are the running sums of the meeting flags; and each time becomes one
+event, stamped with the number of meetings up to it, a meeting counting
+itself.  The key is monotone in t, so keys order as times do, and only a run
+of items that share a key, of any length, is ordered by building an
+`ExactNumber` per item; equal times there mark a time shared by streams.
+The event times are written per stream as the caller asks: literals for
+`lamo simulate`, an `ExactNumber` each only for the library's `simulate`.
+The keys are one floor per time, not the shift pass of `multiple_floors`,
+which yields the map route's Beatty sets that the simulator is there to
+check; at 2^16 a time with small fields keeps its square root in one word.
 
 A time shared by streams is a meeting exactly at the origin, recorded as
 a single collision event that voids any partition claim for the log.  Any
@@ -36,12 +35,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate, chain, compress, count, groupby, islice, repeat, starmap
-from math import isqrt
-from operator import eq, floordiv, itemgetter, not_
+from operator import eq, itemgetter, not_
 from typing import Any, Callable, Iterable, NamedTuple, Union
 
 from .errors import CollisionPresent, NonPositiveTime
-from .exact import Coercible, ExactNumber
+from .exact import Coercible, ExactNumber, floors
 from .continuous import LinearMap, MonotoneMap
 from .sequences import IntSet
 
@@ -87,16 +85,6 @@ def _stream(runs: Iterable[tuple]) -> tuple:
     return A, B, runs[0][2] if runs else 0, C
 
 
-def _keys(A: list[int], B: list[int], d: int, C: list[int]) -> list[int]:
-    """floor(t * _SCALE) of each time of a stream, whose B keeps one sign s:
-    floor(s*sqrt(y)) is s*isqrt(y) - (s < 0) for a non-square y."""
-    if not (d and B):
-        return list(map(floordiv, map(_SCALE.__mul__, A), C))
-    s = (B[0] > 0) - (B[0] < 0)
-    q, e = d * _SCALE * _SCALE, -(s < 0)
-    return [(a * _SCALE + s * isqrt(b * b * q) + e) // c for a, b, c in zip(A, B, C)]
-
-
 def _time_at(streams: Iterable[tuple], p: int) -> ExactNumber:
     """The time with index p in the streams laid end to end."""
     for A, B, d, C in streams:
@@ -114,7 +102,7 @@ def event_columns(phi: MonotoneMap, T: Coercible, write: Callable[..., Iterable]
     # Y moves as t: its crossings are the level times of the identity map.
     maps = ((phi, 1), (phi, 0), (LinearMap(1), 0))
     streams = [_stream(m.level_fields(shift, horizon)) for m, shift in maps]
-    keys = list(chain.from_iterable(starmap(_keys, streams)))
+    keys = list(chain.from_iterable(floors(*stream, _SCALE) for stream in streams))
     # Stable: the items of one key stay in stream order, then in time order.
     order = sorted(range(len(keys)), key=keys.__getitem__)
     keys = list(map(keys.__getitem__, order))

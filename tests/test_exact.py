@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from lamo.errors import IncompatibleRadicands, ParseError, ZeroDenominator
-from lamo.exact import ExactNumber
+from lamo.exact import ExactNumber, floors
 
 from oracles import bisect_floor, decimal_floor, isqrt_multiple_floors, subtract_compare
 
@@ -247,9 +247,43 @@ class TestFloor:
     )
     @example((3, -7, 1), 10**20 - 1, 2**32)
     @example((0, 1, 10**10), 10**20 + 1, 2**32)
+    @example((0, 1, 1), 2, -1)  # floor(-sqrt(2)) = -2
+    @example((3, -1, 2), 5, -3)  # floor(-3*(3 - sqrt(5))/2) = -2
+    @example((3, -1, 2), 5, 0)
     def test_scaled_floor(self, abc, d, scale):
         a, b, c = abc
         assert ExactNumber(a, b, d, c).floor(scale) == bisect_floor(a * scale, b * scale, d, c)
+
+
+@st.composite
+def floor_columns(draw):
+    """A column (A, B, d, C) of values over one radicand, maybe empty, whose B
+    is all positive, all negative or all zero; d is 0, non-square below
+    10**6, or non-square past 2**64."""
+    d = draw(st.one_of(st.just(0), st.integers(2, 10**6), st.integers(2**64, 2**80)))
+    if d and math.isqrt(d) ** 2 == d:
+        d += 1
+    n, sign = draw(st.integers(0, 6)), draw(st.sampled_from((1, -1, 0)))
+    column = st.lists(st.integers(1, 10**6), min_size=n, max_size=n)
+    A = draw(st.lists(st.integers(-(10**12), 10**12), min_size=n, max_size=n))
+    return A, [sign * b for b in draw(column)], d, draw(column)
+
+
+class TestFloors:
+    @given(
+        floor_columns(),
+        st.one_of(st.sampled_from((1, 2**16)), st.integers(-3, 3), st.integers(-(2**40), 2**40)),
+    )
+    @example(([0], [1], 2, [1]), -1)  # floor(-sqrt(2)) = -2
+    @example(([3], [-1], 5, [2]), -3)  # floor(-3*(3 - sqrt(5))/2) = -2
+    @example(([3, 0], [-1, -4], 5, [2, 7]), -1)
+    @example(([3, 0], [-1, -4], 5, [2, 7]), 0)
+    @example(([1, -5], [2, 3], 99999999999999999999, [10**10, 3]), 0)
+    def test_matches_bisection(self, column, scale):
+        A, B, d, C = column
+        assert floors(A, B, d, C, scale) == [
+            bisect_floor(a * scale, b * scale, d, c) for a, b, c in zip(A, B, C)
+        ]
 
 
 @st.composite

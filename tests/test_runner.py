@@ -4,7 +4,9 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -519,3 +521,19 @@ class TestPerEventOracle:
         phi, T = LinearMap(ExactNumber(0, 1, 10**8 - 1, 10**4)), ExactNumber(3)
         keys = [t.floor(runner._SCALE) for t, _, _ in per_event_simulate(phi, T)]
         assert max(map(keys.count, keys)) >= 3
+
+
+def test_readme_library_example(capsys):
+    """README's library example runs and prints what each `print` line's
+    comment says, the simulated Event and recorded set included."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^```python\n(.*?)^```$", readme, re.M | re.S)[1]
+    stated = [line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")]
+    assert stated == [
+        "partition",
+        "overlap(5)",
+        "Event(time=ExactNumber(0, 1, 2, 2), kind='x_crosses_origin', count=1)",
+        "{1, 3, 5, 6, 8, 10, 11, 13, 15, 17, 18, 20, 22, 23} horizon 24",
+    ]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == stated
